@@ -2,30 +2,42 @@
 
 This is the physical memory under the FTL.  Reads and writes go through the
 controller's address-mapping function into per-bank sparse row arrays; every
-access that opens a row is an *activation*, and activations of a victim
-row's neighbours inside one refresh window accumulate *disturbance* (see
-:mod:`repro.dram.vulnerability`).  When disturbance crosses a weak cell's
-threshold, the stored bit really flips — whatever lives there (for us: L2P
-entries) is silently corrupted.
+access that opens a row is an *activation* (ACT), and activations of a
+victim row's neighbours inside one refresh window accumulate *disturbance*
+(see :mod:`repro.dram.vulnerability`).  When disturbance crosses a weak
+cell's threshold, the stored bit really flips — whatever lives there (for
+us: L2P entries) is silently corrupted.
 
-Two execution paths produce identical per-window accounting:
+Every activation is accounted by one of two primitives, and every victim is
+judged by one evaluator, :meth:`DramModule._evaluate_victim`:
 
-* the **exact path** — each :meth:`DramModule.read`/:meth:`DramModule.write`
-  activates rows one at a time; the caller advances the shared clock; and
-* the **batch path** — :meth:`DramModule.hammer` applies an entire hammering
-  campaign (pattern x rate x duration) window-by-window in closed form, so
-  two simulated hours of multi-million-IOPS hammering cost milliseconds of
-  host time.
+* the **ordered stream** (:meth:`DramModule._stream`) runs ACTs one at a
+  time through window rollover, counters, TRR, PARA and the neighbours'
+  victim checks.  Reads, writes, :meth:`~DramModule.activate` and small
+  batches are its memory-access case, row buffer included;
+  :meth:`~DramModule.activate_burst` and batches under order-sensitive TRR
+  are its explicit-ACT case; and
+* the **window histogram** (:meth:`DramModule._add_window`, then
+  :meth:`DramModule._evaluate_victims`) adds one refresh window's
+  ``bank -> row -> count`` histogram and evaluates each victim once with
+  the final counts.  :meth:`~DramModule.hammer` applies it once per window
+  of a campaign (pattern x rate x duration), so two simulated hours of
+  multi-million-IOPS hammering cost milliseconds of host time;
+  :meth:`~DramModule.access_batch` and large read/write batches apply it
+  once.  Where a histogram stands in for per-ACT sampling, TRR is modelled
+  by its disturbance cap (or fully evaded when the pattern thrashes the
+  sampler) and PARA by a drawn number of mid-window victim refreshes.
 
-Property tests assert the two paths flip the same cells when no randomized
-mitigation is active.
+Flips are idempotent and monotone in the counts, so with no randomized
+mitigation active both primitives flip the same cells; property tests
+assert it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,8 +56,15 @@ from repro.units import ms
 _INF = float("inf")
 _MISSING = object()
 
+#: One refresh window's activations, ``bank -> row -> count``.  Every bank
+#: in a histogram enters the window, even one whose accesses all hit the
+#: row buffer.
+Histogram = Dict[int, Dict[int, int]]
+#: A histogram's victims: (bank, sorted victim rows, distinct aggressors).
+Victims = List[Tuple[int, List[int], int]]
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True)
 class FlipEvent:
     """One disturbance bitflip that actually changed stored state."""
 
@@ -63,7 +82,7 @@ class FlipEvent:
     in_check_region: bool = False
 
 
-@dataclass(slots=True)
+@dataclass
 class HammerResult:
     """Outcome of one :meth:`DramModule.hammer` campaign."""
 
@@ -80,80 +99,81 @@ class HammerResult:
 
 
 class _PatternPlan:
-    """Precomputed per-pattern state for the batch hammer fast path.
+    """Precomputed per-pattern state for :meth:`DramModule.hammer`.
 
-    Validating a pattern, splitting accesses over its positions, and
-    enumerating its victim rows is pure function of (pattern, geometry,
-    vulnerability) — all fixed for a module's lifetime — yet the seed code
-    redid it every refresh window.  A plan is built once per distinct
-    pattern and cached on the module.
+    Splitting accesses over a pattern's positions and enumerating its
+    victim rows is a pure function of (pattern, geometry, vulnerability) —
+    all fixed for a module's lifetime — so a plan is built once per
+    distinct pattern and cached on the module.
     """
 
     __slots__ = (
         "length",
-        "entries",
-        "simple_entries",
-        "banks",
+        "positions",
         "victims",
         "min_victim_threshold",
         "ub_coeff",
+        "_windows",
     )
 
     def __init__(self, module: "DramModule", pattern: Tuple[Tuple[int, int], ...]):
         self.length = len(pattern)
-        # Unique (bank, row) keys in first-seen order, each with the sorted
-        # pattern positions it occupies (for the round-robin access split).
-        positions: Dict[Tuple[int, int], List[int]] = {}
-        for index, key in enumerate(pattern):
-            positions.setdefault(key, []).append(index)
-        self.entries: List[Tuple[int, int, List[int]]] = [
-            (key[0], key[1], pos) for key, pos in positions.items()
-        ]
-        # When every (bank, row) occupies exactly one pattern position — the
-        # overwhelmingly common case — the round-robin split degenerates to
-        # ``base + (position < extra)`` and the window loops skip the bisect.
-        if all(len(pos) == 1 for _b, _r, pos in self.entries):
-            self.simple_entries: Optional[List[Tuple[int, int, int]]] = [
-                (bank_idx, row, pos[0]) for bank_idx, row, pos in self.entries
-            ]
-        else:
-            self.simple_entries = None
-        self.banks: List[int] = []
-        rows_in_bank: Dict[int, set] = {}
-        for bank_idx, row, _pos in self.entries:
-            if bank_idx not in rows_in_bank:
-                self.banks.append(bank_idx)
-                rows_in_bank[bank_idx] = set()
-            rows_in_bank[bank_idx].add(row)
-
+        #: bank -> row -> the sorted pattern positions the row occupies, in
+        #: first-seen order (for the round-robin access split).
+        self.positions: Dict[int, Dict[int, List[int]]] = {}
+        for index, (bank_idx, row) in enumerate(pattern):
+            self.positions.setdefault(bank_idx, {}).setdefault(row, []).append(index)
+        self.victims = module._victims(self.positions)
         vulnerability = module.vulnerability
-        reach = (-2, -1, 1, 2) if vulnerability.neighbor2_weight else (-1, 1)
-        victim_sets: Dict[int, set] = {}
-        for bank_idx, row, _pos in self.entries:
-            for delta in reach:
-                victim = row + delta
-                if 0 <= victim < module.geometry.rows_per_bank:
-                    victim_sets.setdefault(bank_idx, set()).add(victim)
-        #: (bank, sorted victim rows, distinct aggressor rows in bank).
-        self.victims: List[Tuple[int, List[int], int]] = [
-            (bank_idx, sorted(rows), len(rows_in_bank[bank_idx]))
-            for bank_idx, rows in victim_sets.items()
-        ]
         #: Lowest flip threshold over every victim the pattern can disturb.
         self.min_victim_threshold = min(
             (
                 vulnerability.min_threshold(bank_idx, victim)
-                for bank_idx, rows, _d in self.victims
+                for bank_idx, rows, _distinct in self.victims
                 for victim in rows
             ),
-            default=float("inf"),
+            default=_INF,
         )
-        # Upper bound on achievable disturbance per access in one window:
-        # left+right <= accesses, min(left,right) <= accesses/2, and the
-        # distance-2 shell contributes at most neighbor2_weight * accesses.
+        # Upper bound on achievable disturbance per activation in one
+        # window: left+right <= acts, min(left,right) <= acts/2, and the
+        # distance-2 shell contributes at most neighbor2_weight * acts.
         self.ub_coeff = (
             1.0 + vulnerability.synergy / 2.0 + vulnerability.neighbor2_weight
         )
+        # accesses -> window histogram: every full window of a campaign
+        # carries the same budget.  Bounded, cleared when full.
+        self._windows: Dict[int, Histogram] = {}
+
+    def window(self, accesses: int) -> Histogram:
+        """One window's histogram: ``accesses`` split round-robin over the
+        pattern positions — each row gets one full share per position it
+        occupies, plus one for each of its positions below the remainder.
+        Callers must not mutate it."""
+        histogram = self._windows.get(accesses)
+        if histogram is None:
+            base, extra = divmod(accesses, self.length)
+            histogram = {}
+            for bank_idx, rows in self.positions.items():
+                histogram[bank_idx] = counts = {}
+                for row, positions in rows.items():
+                    counts[row] = base * len(positions) + bisect_left(positions, extra)
+            if len(self._windows) >= 64:
+                self._windows.clear()
+            self._windows[accesses] = histogram
+        return histogram
+
+
+def _round_robin(counts: Dict[Tuple[int, int], int]) -> Iterator[Tuple[int, int]]:
+    """The canonical interleaving a coalesced histogram stands for: cycle
+    over its (bank, row) keys in first-seen order until each is spent."""
+    remaining = dict(counts)
+    while remaining:
+        for key in list(remaining):
+            yield key
+            if remaining[key] == 1:
+                del remaining[key]
+            else:
+                remaining[key] -= 1
 
 
 class DramModule:
@@ -203,19 +223,20 @@ class DramModule:
         self._capacity = geometry.capacity_bytes
         self._row_bytes = geometry.row_bytes
         self._rows_per_bank = geometry.rows_per_bank
+        self._total_banks = geometry.total_banks
         #: Neighbour offsets that can be disturbed (fixed by the model).
         self._victim_deltas = (
             (-2, -1, 1, 2) if vulnerability.neighbor2_weight else (-1, 1)
         )
-        # Disturbance coefficients, cached for the inlined arithmetic on
-        # the per-access victim check (both fixed at model construction).
+        # Disturbance coefficients, cached for the inlined arithmetic of
+        # the victim evaluator (both fixed at model construction).
         self._synergy = vulnerability.synergy
         self._neighbor2_weight = vulnerability.neighbor2_weight
         # Direct handle on the model's memoized per-row thresholds: victim
         # checks sit on every access, and the method-call round trip is
         # measurable there.
         self._min_thresholds = vulnerability._min_cache
-        #: Validated per-pattern plans for the batch hammer path.
+        #: Validated per-pattern plans for :meth:`hammer`.
         self._pattern_plans: Dict[Tuple[Tuple[int, int], ...], _PatternPlan] = {}
         #: (addrs, length) -> located coordinate lists.  Attack loops probe
         #: the same few L2P entry addresses millions of times; the mapping
@@ -254,8 +275,20 @@ class DramModule:
             offset += chunk
             remaining -= chunk
 
+    def _check_addresses(self, pairs: Iterable[Tuple[int, int]]) -> None:
+        """Raise :class:`DramAddressError` unless every (bank, row) exists."""
+        total_banks = self._total_banks
+        rows_per_bank = self._rows_per_bank
+        for bank_idx, row in pairs:
+            if not 0 <= bank_idx < total_banks:
+                raise DramAddressError("bank %d out of range" % bank_idx)
+            if not 0 <= row < rows_per_bank:
+                raise DramAddressError(
+                    "row %d out of range in bank %d" % (row, bank_idx)
+                )
+
     # ------------------------------------------------------------------
-    # exact access path
+    # scalar access path
     # ------------------------------------------------------------------
 
     def read(self, phys_addr: int, length: int) -> bytes:
@@ -265,7 +298,7 @@ class DramModule:
             self.tracer.emit("dram.access", op="r", count=1, addr=phys_addr, len=length)
         out = bytearray()
         for bank_idx, row, column, chunk in self._segments(phys_addr, length):
-            self._touch(bank_idx, row)
+            self._stream(((bank_idx, row),))
             bank = self.banks[bank_idx]
             if self.ecc_enabled:
                 out += self._read_ecc(bank, row, column, chunk)
@@ -281,7 +314,7 @@ class DramModule:
         view = np.frombuffer(bytes(data), dtype=np.uint8)
         consumed = 0
         for bank_idx, row, column, chunk in self._segments(phys_addr, len(view)):
-            self._touch(bank_idx, row)
+            self._stream(((bank_idx, row),))
             bank = self.banks[bank_idx]
             piece = view[consumed : consumed + chunk]
             bank.write(row, column, piece)
@@ -320,11 +353,11 @@ class DramModule:
         check[first_word : last_word + 1] = codec.encode_words(words)
 
     # ------------------------------------------------------------------
-    # activation & disturbance
+    # the ordered stream
     # ------------------------------------------------------------------
 
     def activate(self, bank_idx: int, row: int) -> None:
-        """One explicit row activation on the exact accounting path.
+        """One row activation, as a memory access.
 
         This is the U-TRR pipeline's probe primitive: a black-box caller
         that only knows (bank, row) coordinates can drive precisely
@@ -333,82 +366,120 @@ class DramModule:
         addresses.  Semantics are identical to the activation side of a
         scalar access (row-buffer hits included under ``OPEN_PAGE``).
         """
-        if not 0 <= bank_idx < self.geometry.total_banks:
-            raise DramAddressError("bank %d out of range" % bank_idx)
-        self._touch(bank_idx, row)
+        act = ((bank_idx, row),)
+        self._check_addresses(act)
+        self._stream(act)
 
-    def _touch(self, bank_idx: int, row: int) -> None:
-        """Account one access to (bank, row) on the exact path.
+    def activate_burst(
+        self, activations: Sequence[Tuple[int, int]]
+    ) -> List[FlipEvent]:
+        """Apply an explicitly *ordered* sequence of (bank, row) ACTs.
 
-        Equivalent to ``roll_epoch`` + ``record_activation`` + mitigation
-        hooks + per-victim checks, with the bank bookkeeping inlined — this
-        sits under every scalar read/write and small-batch access.
+        Every entry runs the full per-activation sampler + victim pipeline
+        a scalar access loop would, in the caller's exact order, but the
+        row buffer is bypassed (each entry is a true activation by
+        definition, and the buffer is left as it was) and the trace
+        carries one aggregated activation event.  This is the U-TRR
+        pipeline's hammer primitive: sampler policies are distinguished by
+        activation *order*, which a coalesced histogram cannot express.
         """
-        bank = self.banks[bank_idx]
-        rows_per_bank = self._rows_per_bank
-        if not 0 <= row < rows_per_bank:
-            raise DramAddressError(
-                "row %d out of range in bank %d" % (row, bank_idx)
-            )
-        tracer = self.tracer
-        epoch = int(self.clock._now / self.refresh_interval)
-        if bank.epoch != epoch:
-            bank.roll_epoch(epoch)
-            if tracer is not None:
-                tracer.emit("dram.refresh", bank=bank_idx, epoch=epoch)
-            if self.trr is not None:
-                self.trr.on_window(bank_idx)
-        if self.row_policy == OPEN_PAGE:
-            if bank.open_row == row:
-                self._row_hits.value += 1
-                return  # row buffer hit: no activation, no disturbance
-            bank.open_row = row
-        else:
-            bank.open_row = None
-        acts = bank.acts
-        acts[row] = acts.get(row, 0) + 1
-        self._activations.value += 1
-        if tracer is not None:
-            tracer.emit("dram.activate", bank=bank_idx, row=row, count=1)
-        if self.trr is not None:
-            victims = self.trr.on_activation(bank_idx, row)
-            if victims and tracer is not None:
-                tracer.emit("dram.trr", bank=bank_idx, row=row, victims=len(victims))
-            for victim in victims:
-                if 0 <= victim < rows_per_bank:
-                    bank.refresh_victim(victim)
-        if self.para is not None:
-            victims = self.para.on_activation(bank_idx, row)
-            if victims and tracer is not None:
-                tracer.emit("dram.para", bank=bank_idx, row=row, victims=len(victims))
-            for victim in victims:
-                if 0 <= victim < rows_per_bank:
-                    bank.refresh_victim(victim)
-        min_thresholds = self._min_thresholds
-        for delta in self._victim_deltas:
-            victim = row + delta
-            if 0 <= victim < rows_per_bank:
-                min_threshold = min_thresholds.get((bank_idx, victim))
-                if min_threshold is None:
-                    min_threshold = self.vulnerability.min_threshold(
-                        bank_idx, victim
-                    )
-                if min_threshold != _INF:
-                    self._check_victim(bank, victim, min_threshold)
+        self._check_addresses(activations)
+        flips_before = len(self.flips)
+        self._stream(activations, explicit=True)
+        return self.flips[flips_before:]
 
-    def _check_victim(
-        self, bank: Bank, victim: int, min_threshold: Optional[float] = None
+    def _stream(self, seq: Iterable[Tuple[int, int]], explicit: bool = False) -> None:
+        """Run validated (bank, row) ACTs one at a time, in order, through
+        window rollover, counters, TRR, PARA and the neighbours' victim
+        checks.
+
+        Memory accesses go through the row buffer and trace one event per
+        ACT.  *Explicit* ACTs bypass the row buffer, and the trace carries
+        one aggregate event and no refresh events.
+        """
+        epoch = int(self.clock._now / self.refresh_interval)
+        banks = self.banks
+        trr = self.trr
+        para = self.para
+        tracer = self.tracer
+        rows_per_bank = self._rows_per_bank
+        thresholds = self._min_thresholds
+        evaluate = self._evaluate_victim
+        open_page = self.row_policy == OPEN_PAGE
+        total = hits = 0
+        for bank_idx, row in seq:
+            bank = banks[bank_idx]
+            if bank.epoch != epoch:
+                bank.roll_epoch(epoch)
+                if tracer is not None and not explicit:
+                    tracer.emit("dram.refresh", bank=bank_idx, epoch=epoch)
+                if trr is not None:
+                    trr.on_window(bank_idx)
+            if not explicit:
+                if not open_page:
+                    bank.open_row = None
+                elif bank.open_row == row:
+                    hits += 1
+                    continue  # row buffer hit: no activation, no disturbance
+                else:
+                    bank.open_row = row
+                if tracer is not None:
+                    tracer.emit("dram.activate", bank=bank_idx, row=row, count=1)
+            acts = bank.acts
+            acts[row] = acts.get(row, 0) + 1
+            total += 1
+            if trr is not None:
+                victims = trr.on_activation(bank_idx, row)
+                if victims:
+                    self._refresh_victims(bank, row, victims, "dram.trr")
+            if para is not None:
+                victims = para.on_activation(bank_idx, row)
+                if victims:
+                    self._refresh_victims(bank, row, victims, "dram.para")
+            for delta in self._victim_deltas:
+                victim = row + delta
+                if 0 <= victim < rows_per_bank:
+                    threshold = thresholds.get((bank_idx, victim))
+                    if threshold is None:
+                        threshold = self.vulnerability.min_threshold(bank_idx, victim)
+                    if threshold != _INF:
+                        evaluate(bank, victim, threshold)
+        if hits:
+            self._row_hits.value += hits
+        self._activations.value += total
+        if explicit and total and tracer is not None:
+            tracer.emit("dram.activate", count=total)
+
+    def _refresh_victims(self, bank: Bank, row: int, victims: List[int], event: str) -> None:
+        """A mitigation's targeted refresh of the rows around ``row``."""
+        if self.tracer is not None:
+            self.tracer.emit(event, bank=bank.index, row=row, victims=len(victims))
+        for victim in victims:
+            if 0 <= victim < self._rows_per_bank:
+                bank.refresh_victim(victim)
+
+    # ------------------------------------------------------------------
+    # victim evaluation
+    # ------------------------------------------------------------------
+
+    def _evaluate_victim(
+        self,
+        bank: Bank,
+        victim: int,
+        threshold: float,
+        capped: Optional[bool] = None,
+        result: Optional[HammerResult] = None,
     ) -> None:
-        """Apply any flips the victim's current disturbance has earned."""
-        if min_threshold is None:
-            min_threshold = self._min_thresholds.get((bank.index, victim))
-            if min_threshold is None:
-                min_threshold = self.vulnerability.min_threshold(bank.index, victim)
-            if min_threshold == _INF:
-                return
+        """Apply the flips the victim's disturbance since its last refresh
+        has earned; ``threshold`` is its weakest cell's.
+
+        ``capped`` is None on the ordered stream, where TRR and PARA have
+        already acted on every ACT.  Where a window histogram stands in for
+        per-ACT sampling, ``capped`` says whether TRR's disturbance cap
+        applies and PARA's mid-window refreshes are drawn; ``result``, if
+        given, records both.
+        """
         left, right = bank.victim_side_counts(victim)
-        # Inlined VulnerabilityModel.disturbance (counts are non-negative
-        # by construction, so the model's validation is redundant here).
         disturbance = left + right + self._synergy * (
             left if left < right else right
         )
@@ -416,9 +487,26 @@ class DramModule:
             left2, right2 = bank.victim_far_counts(victim)
             if left2 or right2:
                 disturbance += self._neighbor2_weight * (left2 + right2)
-        if disturbance < min_threshold:
-            return
-        self._apply_flips(bank, victim, disturbance)
+        if capped is not None:
+            if capped:
+                cap = self.vulnerability.disturbance(
+                    self.trr.refresh_threshold, self.trr.refresh_threshold
+                )
+                if disturbance > cap:
+                    disturbance = cap
+                    if result is not None:
+                        result.trr_capped = True
+            if self.para is not None:
+                refreshes = self.para.draw_refresh_count(left + right)
+                if refreshes:
+                    # Disturbance must accumulate inside one refresh-free
+                    # run; with k refreshes the longest run is ~1/(k+1)
+                    # of the window.
+                    disturbance /= refreshes + 1
+                    if result is not None:
+                        result.para_refreshes += refreshes
+        if disturbance >= threshold:
+            self._apply_flips(bank, victim, disturbance)
 
     def _apply_flips(self, bank: Bank, victim: int, disturbance: float) -> int:
         """Flip every weak cell at or below ``disturbance``; idempotent."""
@@ -458,8 +546,69 @@ class DramModule:
         return applied
 
     # ------------------------------------------------------------------
-    # batch hammer fast path
+    # the window histogram
     # ------------------------------------------------------------------
+
+    def _add_window(self, epoch: int, histogram: Histogram) -> int:
+        """Add one refresh window's histogram to the bank counters, every
+        bank in it entering ``epoch`` first; returns the ACTs added."""
+        trr = self.trr
+        banks = self.banks
+        total = 0
+        for bank_idx, rows in histogram.items():
+            bank = banks[bank_idx]
+            if bank.epoch != epoch:
+                bank.roll_epoch(epoch)
+                if trr is not None:
+                    trr.on_window(bank_idx)
+            acts = bank.acts
+            for row, n in rows.items():
+                if n:
+                    acts[row] = acts.get(row, 0) + n
+                    total += n
+        self._activations.value += total
+        return total
+
+    def _victims(self, histogram: Dict[int, Dict[int, object]]) -> Victims:
+        """Per histogram bank, in order: every in-range neighbour of a row
+        it activates, sorted, and the bank's distinct aggressor count
+        (which decides TRR evasion)."""
+        rows_per_bank = self._rows_per_bank
+        out = []
+        for bank_idx, rows in histogram.items():
+            victims = {
+                row + delta
+                for row in rows
+                for delta in self._victim_deltas
+                if 0 <= row + delta < rows_per_bank
+            }
+            out.append((bank_idx, sorted(victims), len(rows)))
+        return out
+
+    def _evaluate_victims(
+        self, victims: Victims, result: Optional[HammerResult] = None
+    ) -> None:
+        """Evaluate each victim of a window histogram once, with the
+        window's final counts."""
+        trr = self.trr
+        # With TRR or PARA active, a victim without weak cells is still
+        # evaluated: it can set the cap flag and takes its PARA draw.
+        sampled = trr is not None or self.para is not None
+        min_threshold = self.vulnerability.min_threshold
+        for bank_idx, rows, distinct in victims:
+            bank = self.banks[bank_idx]
+            capped = trr is not None and not trr.evaded_by(distinct)
+            for victim in rows:
+                threshold = min_threshold(bank_idx, victim)
+                if sampled or threshold != _INF:
+                    self._evaluate_victim(bank, victim, threshold, capped, result)
+
+    def _apply_batch(self, histogram: Histogram) -> None:
+        """Apply one batch's histogram to the current refresh window."""
+        total = self._add_window(self.clock.epoch(self.refresh_interval), histogram)
+        if total and self.tracer is not None:
+            self.tracer.emit("dram.activate", count=total)
+        self._evaluate_victims(self._victims(histogram))
 
     def hammer(
         self,
@@ -474,13 +623,11 @@ class DramModule:
         ``r``.  ``access_rate`` is the *device-level* row-activation rate in
         accesses/second; ``total_accesses`` bounds the campaign.
 
-        The campaign walks refresh windows: each window receives its share
-        of activations, per-victim disturbance is evaluated once with the
-        window's final counts, and flips are applied exactly as the exact
-        path would have.  TRR is modelled by its disturbance cap (or fully
-        evaded when the pattern thrashes the sampler); PARA by sampling the
-        number of mid-window victim refreshes and scaling the achievable
-        disturbance run.
+        The campaign walks refresh windows and applies each window's share
+        of activations as one histogram.  A campaign is *inert* when even
+        with all of its accesses in one window it could not reach the
+        weakest victim cell and no mitigation draws per-window state: its
+        windows are walked but never evaluated.
         """
         if access_rate <= 0:
             raise ConfigError("access rate must be positive")
@@ -503,90 +650,18 @@ class DramModule:
 
         clock = self.clock
         interval = self.refresh_interval
-
-        if (
-            self.trr is None
-            and self.para is None
+        tracer = self.tracer
+        start = clock._now
+        sampled = self.trr is not None or self.para is not None
+        inert = (
+            not sampled
             and total_accesses * plan.ub_coeff < plan.min_victim_threshold
-        ):
-            # Inert campaign: even if EVERY access landed in one window it
-            # could not reach the weakest victim cell, so no window can
-            # flip anything.  Walk the windows with the exact same float
-            # arithmetic (durations/window counts must match the general
-            # path bit-for-bit) but only materialize the final window's
-            # activation counts — earlier windows' counts are cleared by
-            # the epoch rollover and are observable by nobody.
-            now = clock._now
-            epoch = int(now / interval)
-            if 0 < total_accesses <= int(
-                access_rate * ((epoch + 1) * interval - now)
-            ):
-                # Entirely inside the current window: one window's counts,
-                # one clock bump (always positive, so advance()'s check is
-                # redundant), no flips possible.
-                end = now + total_accesses / access_rate
-                clock._now = end
-                banks = self.banks
-                base, extra = divmod(total_accesses, plan.length)
-                simple = plan.simple_entries
-                if simple is not None:
-                    for bank_idx, row, position in simple:
-                        bank = banks[bank_idx]
-                        if bank.epoch != epoch:
-                            bank.roll_epoch(epoch)
-                        n = base + (position < extra)
-                        if n:
-                            acts = bank.acts
-                            acts[row] = acts.get(row, 0) + n
-                else:
-                    for bank_idx in plan.banks:
-                        banks[bank_idx].roll_epoch(epoch)
-                    for bank_idx, row, positions in plan.entries:
-                        n = base * len(positions)
-                        if extra:
-                            n += bisect_left(positions, extra)
-                        if n:
-                            acts = banks[bank_idx].acts
-                            acts[row] = acts.get(row, 0) + n
-                self._activations.value += total_accesses
-                tracer = self.tracer
-                if tracer is not None:
-                    tracer.emit(
-                        "dram.window",
-                        epoch=epoch,
-                        accesses=total_accesses,
-                        pattern=plan.length,
-                    )
-                    tracer.emit_at(
-                        "dram.hammer",
-                        now,
-                        accesses=total_accesses,
-                        windows=1,
-                        flips=0,
-                        dur=end - now,
-                    )
-                return HammerResult(total_accesses, end - now, 1)
-            result = HammerResult(accesses=0, duration=0.0, windows=0)
-            self._hammer_inert(plan, total_accesses, access_rate, result)
-            result.duration = clock._now - now
-            if self.tracer is not None:
-                self.tracer.emit_at(
-                    "dram.hammer",
-                    now,
-                    accesses=result.accesses,
-                    windows=result.windows,
-                    flips=0,
-                    dur=result.duration,
-                )
-            return result
-
-        result = HammerResult(accesses=0, duration=0.0, windows=0)
+        )
+        result = HammerResult(0, 0.0, 0)
         flips_before = len(self.flips)
         remaining = total_accesses
-        start_time = clock.now
-
         while remaining > 0:
-            now = clock.now
+            now = clock._now
             epoch = int(now / interval)
             window_end = (epoch + 1) * interval
             budget = int(access_rate * (window_end - now))
@@ -600,96 +675,41 @@ class DramModule:
                 continue
             accesses = budget if budget < remaining else remaining
             # Advance first so flip events are stamped when the window's
-            # hammering has actually happened.
-            clock.advance(accesses / access_rate)
-            self._hammer_window(plan, accesses, epoch, result)
+            # hammering has actually happened (a positive step, so
+            # advance()'s validation is redundant).
+            clock._now = now + accesses / access_rate
+            self._add_window(epoch, plan.window(accesses))
+            if tracer is not None:
+                tracer.emit(
+                    "dram.window", epoch=epoch, accesses=accesses, pattern=plan.length
+                )
+            # Closed-form skip: with no mitigation drawing per-window
+            # state, a window whose best-case disturbance misses the
+            # weakest victim cell cannot flip anything.
+            if sampled or (
+                not inert and accesses * plan.ub_coeff >= plan.min_victim_threshold
+            ):
+                self._evaluate_victims(plan.victims, result)
             remaining -= accesses
             result.accesses += accesses
             result.windows += 1
-        result.duration = clock.now - start_time
+        result.duration = clock._now - start
         result.flips = self.flips[flips_before:]
-        if self.tracer is not None:
-            self.tracer.emit_at(
+        if tracer is not None:
+            mitigation = {} if inert else {
+                "trr_capped": result.trr_capped,
+                "para_refreshes": result.para_refreshes,
+            }
+            tracer.emit_at(
                 "dram.hammer",
-                start_time,
+                start,
                 accesses=result.accesses,
                 windows=result.windows,
                 flips=len(result.flips),
                 dur=result.duration,
-                trr_capped=result.trr_capped,
-                para_refreshes=result.para_refreshes,
+                **mitigation,
             )
         return result
-
-    def _hammer_inert(
-        self,
-        plan: _PatternPlan,
-        remaining: int,
-        access_rate: float,
-        result: HammerResult,
-    ) -> None:
-        """Window walk for campaigns that provably cannot flip: replicates
-        the general loop's clock/window arithmetic, then applies only the
-        final window's counts."""
-        clock = self.clock
-        interval = self.refresh_interval
-        tracer = self.tracer
-        last_epoch = -1
-        last_accesses = 0
-        while remaining > 0:
-            now = clock._now
-            epoch = int(now / interval)
-            window_end = (epoch + 1) * interval
-            budget = int(access_rate * (window_end - now))
-            if budget <= 0:
-                clock.advance_to(max(window_end, now))
-                if clock.epoch(interval) == epoch:
-                    clock.advance(interval * 1e-6)
-                continue
-            accesses = budget if budget < remaining else remaining
-            # Same float step as the general loop's advance() (always a
-            # positive increment, so its validation is redundant).
-            clock._now = now + accesses / access_rate
-            if tracer is not None:
-                tracer.emit(
-                    "dram.window",
-                    epoch=epoch,
-                    accesses=accesses,
-                    pattern=plan.length,
-                )
-            if epoch == last_epoch:
-                last_accesses += accesses
-            else:
-                last_epoch = epoch
-                last_accesses = accesses
-            remaining -= accesses
-            result.accesses += accesses
-            result.windows += 1
-        if last_epoch < 0:
-            return
-        banks = self.banks
-        base, extra = divmod(last_accesses, plan.length)
-        simple = plan.simple_entries
-        if simple is not None:
-            for bank_idx, row, position in simple:
-                bank = banks[bank_idx]
-                if bank.epoch != last_epoch:
-                    bank.roll_epoch(last_epoch)
-                n = base + (position < extra)
-                if n:
-                    acts = bank.acts
-                    acts[row] = acts.get(row, 0) + n
-        else:
-            for bank_idx in plan.banks:
-                banks[bank_idx].roll_epoch(last_epoch)
-            for bank_idx, row, positions in plan.entries:
-                n = base * len(positions)
-                if extra:
-                    n += bisect_left(positions, extra)
-                if n:
-                    acts = banks[bank_idx].acts
-                    acts[row] = acts.get(row, 0) + n
-        self._activations.value += result.accesses
 
     def _plan_for(self, pattern: Sequence[Tuple[int, int]]) -> _PatternPlan:
         """Validate a hammer pattern and return its cached plan."""
@@ -699,11 +719,7 @@ class DramModule:
             return plan
         if not key:
             raise ConfigError("hammer pattern must not be empty")
-        for (bank_idx, row) in key:
-            if not 0 <= bank_idx < self.geometry.total_banks:
-                raise DramAddressError("bank %d out of range" % bank_idx)
-            if not 0 <= row < self._rows_per_bank:
-                raise DramAddressError("row %d out of range" % row)
+        self._check_addresses(key)
         for i in range(len(key)):
             if len(key) > 1 and key[i] == key[(i + 1) % len(key)]:
                 raise ConfigError(
@@ -719,281 +735,51 @@ class DramModule:
         self._pattern_plans[key] = plan
         return plan
 
-    def _hammer_window(
-        self,
-        plan: _PatternPlan,
-        accesses: int,
-        epoch: int,
-        result: HammerResult,
-    ) -> None:
-        """Apply one window's worth of a pattern and evaluate flips."""
-        trr = self.trr
-        banks = self.banks
-        for bank_idx in plan.banks:
-            if banks[bank_idx].roll_epoch(epoch) and trr is not None:
-                trr.on_window(bank_idx)
-        # Round-robin split of the window's accesses over the pattern
-        # positions, coalesced per (bank, row): every unique key receives
-        # one full share per position it occupies, plus one more for each
-        # of its positions below the remainder cutoff.
-        base, extra = divmod(accesses, plan.length)
-        for bank_idx, row, positions in plan.entries:
-            n = base * len(positions)
-            if extra:
-                n += bisect_left(positions, extra)
-            if n:
-                acts = banks[bank_idx].acts
-                acts[row] = acts.get(row, 0) + n
-        self._activations.add(accesses)
-        if self.tracer is not None:
-            self.tracer.emit(
-                "dram.window", epoch=epoch, accesses=accesses, pattern=plan.length
-            )
-
-        # Closed-form skip: when no mitigation is drawing per-window state
-        # and even the best-case disturbance this window cannot reach the
-        # weakest victim cell, the per-victim evaluation is a no-op — don't
-        # pay for it.  This is what makes paper-scale campaigns on
-        # non-fragile DRAM generations run at interpreter-free cost.
-        if (
-            trr is None
-            and self.para is None
-            and accesses * plan.ub_coeff < plan.min_victim_threshold
-        ):
-            return
-
-        for bank_idx, victim_rows, distinct_rows in plan.victims:
-            bank = banks[bank_idx]
-            trr_capped = trr is not None and not trr.evaded_by(distinct_rows)
-            for victim in victim_rows:
-                self._evaluate_victim(bank, victim, trr_capped, result)
-
-    def _evaluate_victim(
-        self,
-        bank: Bank,
-        victim: int,
-        trr_capped: bool,
-        result: Optional[HammerResult],
-    ) -> None:
-        """Evaluate one victim's disturbance with the window's final counts
-        and apply any earned flips (shared by every batch path)."""
-        if self.trr is None and self.para is None:
-            min_threshold = self._min_thresholds.get((bank.index, victim))
-            if min_threshold is None:
-                min_threshold = self.vulnerability.min_threshold(bank.index, victim)
-        else:
-            min_threshold = None
-        if min_threshold == _INF:
-            # No weak cells and no mitigation state to advance: nothing any
-            # disturbance value could do.  (With TRR/PARA active we still
-            # run the full evaluation — it sets the trr_capped flag and
-            # consumes PARA's random draws in the same order as the seed.)
-            return
-        left, right = bank.victim_side_counts(victim)
-        if self.vulnerability.neighbor2_weight:
-            left2, right2 = bank.victim_far_counts(victim)
-            disturbance = self.vulnerability.disturbance(left, right, left2, right2)
-        else:
-            disturbance = self.vulnerability.disturbance(left, right)
-        if trr_capped:
-            cap = self.vulnerability.disturbance(
-                self.trr.refresh_threshold, self.trr.refresh_threshold
-            )
-            if disturbance > cap:
-                disturbance = cap
-                if result is not None:
-                    result.trr_capped = True
-        if self.para is not None:
-            adjacent = left + right
-            refreshes = self.para.draw_refresh_count(adjacent)
-            if refreshes:
-                # Disturbance must accumulate inside one refresh-free
-                # run; with k refreshes the longest run is ~1/(k+1)
-                # of the window.
-                disturbance /= refreshes + 1
-                if result is not None:
-                    result.para_refreshes += refreshes
-        self._apply_flips(bank, victim, disturbance)
-
     # ------------------------------------------------------------------
-    # vectorized batch access path
+    # batch access paths
     # ------------------------------------------------------------------
 
     #: Below this batch size a plain Python gather loop beats numpy setup.
     _GROUP_MIN = 64
 
     def _batch_needs_exact_path(self) -> bool:
-        """Whether batch accesses must fall back to the exact per-access
-        path: ECC decodes word-by-word, and TRR/PARA sample per activation
-        in order, so their semantics cannot be replayed from a histogram."""
+        """Whether read/write batches must fall back to scalar accesses:
+        ECC decodes word-by-word, and TRR/PARA sample every activation in
+        order, which a histogram cannot replay."""
         return self.ecc_enabled or self.trr is not None or self.para is not None
 
     def access_batch(self, activations: Sequence[Tuple[int, int, int]]) -> List[FlipEvent]:
-        """Apply a coalesced ``(bank, row) -> count`` activation histogram.
+        """Apply a coalesced ``(bank, row, count)`` activation histogram.
 
-        This is the general-pattern sibling of :meth:`hammer`: all
-        activations land in the *current* refresh window (the caller owns
-        the clock), per-victim disturbance is evaluated once with the
-        batch's final counts, and flips are applied exactly as a scalar
-        access loop would have — flips are idempotent and monotone in the
-        counts, so evaluating once at the end yields the same flip set as
-        evaluating after every access.  Returns the new flip events.
+        The general-pattern sibling of :meth:`hammer`: all activations land
+        in the *current* refresh window (the caller owns the clock), and
+        each victim is evaluated once with the batch's final counts —
+        flips are idempotent and monotone in the counts, so that yields
+        the flip set of a scalar access loop.  Under order-sensitive TRR
+        (``random_sample``, ``first_k_per_window``, shared trackers, wide
+        radii) which rows the sampler holds depends on the activation
+        sequence, so the histogram is instead replayed as explicit ACTs in
+        its canonical interleaving.  Returns the new flip events.
         """
+        self._check_addresses((bank_idx, row) for bank_idx, row, _n in activations)
         counts: Dict[Tuple[int, int], int] = {}
         for bank_idx, row, n in activations:
             if n < 0:
                 raise ConfigError("activation count cannot be negative")
-            if not 0 <= bank_idx < self.geometry.total_banks:
-                raise DramAddressError("bank %d out of range" % bank_idx)
-            if not 0 <= row < self._rows_per_bank:
-                raise DramAddressError("row %d out of range" % row)
             if n:
                 key = (bank_idx, row)
                 counts[key] = counts.get(key, 0) + n
         if not counts:
             return []
+        flips_before = len(self.flips)
         if self.trr is not None and self.trr.exact_batch_replay:
-            return self._access_batch_exact(counts)
-        flips_before = len(self.flips)
-        epoch = self.clock.epoch(self.refresh_interval)
-        trr = self.trr
-        bank_rows: Dict[int, List[int]] = {}
-        total = 0
-        for (bank_idx, row), n in counts.items():
-            bank = self.banks[bank_idx]
-            if bank_idx not in bank_rows:
-                if bank.roll_epoch(epoch) and trr is not None:
-                    trr.on_window(bank_idx)
-                bank_rows[bank_idx] = []
-            bank_rows[bank_idx].append(row)
-            bank.acts[row] = bank.acts.get(row, 0) + n
-            total += n
-        self._activations.add(total)
-        if self.tracer is not None:
-            self.tracer.emit("dram.activate", count=total)
-        self._evaluate_batch_victims(bank_rows)
+            self._stream(_round_robin(counts), explicit=True)
+        else:
+            histogram: Histogram = {}
+            for (bank_idx, row), n in counts.items():
+                histogram.setdefault(bank_idx, {})[row] = n
+            self._apply_batch(histogram)
         return self.flips[flips_before:]
-
-    def activate_burst(
-        self, activations: Sequence[Tuple[int, int]]
-    ) -> List[FlipEvent]:
-        """Apply an explicitly *ordered* sequence of (bank, row) ACTs.
-
-        The exact-path sibling of :meth:`access_batch`: every entry runs
-        the full per-activation sampler + victim pipeline a scalar access
-        loop would (the row buffer is bypassed — each entry is a true
-        activation by definition), but the caller controls the precise
-        interleaving and the trace carries one aggregated activation
-        event.  This is the U-TRR pipeline's hammer primitive: sampler
-        policies are distinguished by activation *order*, which a
-        coalesced histogram cannot express.
-        """
-        total_banks = self.geometry.total_banks
-        rows_per_bank = self._rows_per_bank
-        for bank_idx, row in activations:
-            if not 0 <= bank_idx < total_banks:
-                raise DramAddressError("bank %d out of range" % bank_idx)
-            if not 0 <= row < rows_per_bank:
-                raise DramAddressError(
-                    "row %d out of range in bank %d" % (row, bank_idx)
-                )
-        return self._replay_activations(activations)
-
-    def _access_batch_exact(self, counts: Dict[Tuple[int, int], int]) -> List[FlipEvent]:
-        """Order-sensitive replay of an activation histogram.
-
-        Which rows an order-sensitive sampler (``random_sample``,
-        ``first_k_per_window``, shared trackers, wide radii) holds depends
-        on the activation *sequence*, so the cap-or-evade approximation is
-        unfaithful.  This path reconstructs the canonical interleaving a
-        coalesced burst stands for — cycling over the histogram's distinct
-        (bank, row) keys in first-seen order — and replays it exactly.
-        """
-
-        def round_robin():
-            remaining = dict(counts)
-            keys = list(counts)
-            while remaining:
-                for key in keys:
-                    n = remaining.get(key)
-                    if not n:
-                        continue
-                    yield key
-                    if n == 1:
-                        del remaining[key]
-                    else:
-                        remaining[key] = n - 1
-
-        return self._replay_activations(round_robin())
-
-    def _replay_activations(self, seq) -> List[FlipEvent]:
-        """Run pre-validated (bank, row) activations one-by-one through
-        the exact sampler + victim pipeline (shared by
-        :meth:`activate_burst` and :meth:`_access_batch_exact`)."""
-        flips_before = len(self.flips)
-        epoch = self.clock.epoch(self.refresh_interval)
-        trr = self.trr
-        para = self.para
-        tracer = self.tracer
-        rows_per_bank = self._rows_per_bank
-        banks = self.banks
-        deltas = self._victim_deltas
-        rolled: set = set()
-        total = 0
-        for bank_idx, row in seq:
-            bank = banks[bank_idx]
-            if bank_idx not in rolled:
-                if bank.roll_epoch(epoch) and trr is not None:
-                    trr.on_window(bank_idx)
-                rolled.add(bank_idx)
-            bank.acts[row] = bank.acts.get(row, 0) + 1
-            total += 1
-            if trr is not None:
-                victims = trr.on_activation(bank_idx, row)
-                if victims:
-                    if tracer is not None:
-                        tracer.emit(
-                            "dram.trr", bank=bank_idx, row=row, victims=len(victims)
-                        )
-                    for victim in victims:
-                        if 0 <= victim < rows_per_bank:
-                            bank.refresh_victim(victim)
-            if para is not None:
-                victims = para.on_activation(bank_idx, row)
-                if victims:
-                    if tracer is not None:
-                        tracer.emit(
-                            "dram.para", bank=bank_idx, row=row, victims=len(victims)
-                        )
-                    for victim in victims:
-                        if 0 <= victim < rows_per_bank:
-                            bank.refresh_victim(victim)
-            for delta in deltas:
-                victim = row + delta
-                if 0 <= victim < rows_per_bank:
-                    self._check_victim(bank, victim)
-        if total:
-            self._activations.add(total)
-            if tracer is not None:
-                tracer.emit("dram.activate", count=total)
-        return self.flips[flips_before:]
-
-    def _evaluate_batch_victims(self, bank_rows: Dict[int, List[int]]) -> None:
-        """Victim evaluation for a batch: ``bank_rows`` holds the distinct
-        rows activated per bank, in activation order."""
-        reach = self._victim_deltas
-        trr = self.trr
-        for bank_idx, rows in bank_rows.items():
-            victim_rows = set()
-            for row in rows:
-                for delta in reach:
-                    victim = row + delta
-                    if 0 <= victim < self._rows_per_bank:
-                        victim_rows.add(victim)
-            bank = self.banks[bank_idx]
-            trr_capped = trr is not None and not trr.evaded_by(len(set(rows)))
-            for victim in sorted(victim_rows):
-                self._evaluate_victim(bank, victim, trr_capped, None)
 
     def _locate_batch(self, phys_addrs: Sequence[int], length: int):
         """(banks, rows, columns) lists for a batch of equal-length spans,
@@ -1038,56 +824,34 @@ class DramModule:
         return banks_a.tolist(), rows_a.tolist(), columns_a.tolist()
 
     def _account_batch(self, banks: List[int], rows: List[int]) -> None:
-        """Activation accounting for an in-order batch of row touches:
-        mirrors a loop of :meth:`_touch` calls — per-bank open-row collapse,
-        epoch rollover, counters — then evaluates victims once."""
+        """Activation accounting for an in-order batch of memory accesses,
+        as a loop of scalar accesses would do it: small batches run the
+        ordered stream; larger ones collapse row-buffer hits per bank and
+        apply the remaining ACTs as one histogram."""
         if len(banks) <= 16:
-            # Tiny batch: per-access exact accounting is cheaper than the
-            # dict machinery below, and it IS the reference semantics.
-            touch = self._touch
-            for bank_idx, row in zip(banks, rows):
-                touch(bank_idx, row)
+            # Tiny batch: the stream is cheaper than the dict machinery
+            # below, and it IS the reference semantics.
+            self._stream(zip(banks, rows))
             return
-        epoch = self.clock.epoch(self.refresh_interval)
         open_page = self.row_policy == OPEN_PAGE
-        bank_objs: Dict[int, Bank] = {}
+        histogram: Histogram = {}
         open_rows: Dict[int, Optional[int]] = {}
-        bank_rows: Dict[int, List[int]] = {}
-        counts: Dict[Tuple[int, int], int] = {}
-        row_hits = 0
+        hits = 0
         for bank_idx, row in zip(banks, rows):
-            bank = bank_objs.get(bank_idx)
-            if bank is None:
-                bank = self.banks[bank_idx]
-                bank_objs[bank_idx] = bank
-                if bank.roll_epoch(epoch) and self.trr is not None:
-                    self.trr.on_window(bank_idx)
-                open_rows[bank_idx] = bank.open_row
-                bank_rows[bank_idx] = []
+            counts = histogram.get(bank_idx)
+            if counts is None:
+                counts = histogram[bank_idx] = {}
+                open_rows[bank_idx] = self.banks[bank_idx].open_row
             if open_page:
                 if open_rows[bank_idx] == row:
-                    row_hits += 1
+                    hits += 1
                     continue
                 open_rows[bank_idx] = row
-            key = (bank_idx, row)
-            if key not in counts:
-                counts[key] = 1
-                bank_rows[bank_idx].append(row)
-            else:
-                counts[key] += 1
-        for (bank_idx, row), n in counts.items():
-            acts = bank_objs[bank_idx].acts
-            acts[row] = acts.get(row, 0) + n
-        for bank_idx, bank in bank_objs.items():
-            bank.open_row = open_rows[bank_idx] if open_page else None
-        if row_hits:
-            self._row_hits.value += row_hits
-        total = len(banks) - row_hits
-        if total:
-            self._activations.value += total
-            if self.tracer is not None:
-                self.tracer.emit("dram.activate", count=total)
-        self._evaluate_batch_victims(bank_rows)
+            counts[row] = counts.get(row, 0) + 1
+        for bank_idx, row in open_rows.items():
+            self.banks[bank_idx].open_row = row if open_page else None
+        self._row_hits.value += hits
+        self._apply_batch(histogram)
 
     def read_batch(self, phys_addrs: Sequence[int], length: int) -> np.ndarray:
         """Read ``length`` bytes at each address; returns ``(n, length)``.
@@ -1096,15 +860,15 @@ class DramModule:
         accounting (reads counter, open-row collapse, activations, flips).
         All of the batch's disturbance is applied *before* the data gather,
         so returned bytes reflect every flip the batch itself caused.
-        Falls back to the exact per-access path under ECC or an active
-        TRR/PARA mitigation, and for spans that cross a row boundary.
+        Falls back to a :meth:`read` loop under ECC or an active TRR/PARA
+        mitigation, and for spans that cross a row boundary.
         """
         n = len(phys_addrs)
         out = np.empty((n, length), dtype=np.uint8)
         if n == 0:
             return out
         located = None
-        if not (self.ecc_enabled or self.trr is not None or self.para is not None):
+        if not self._batch_needs_exact_path():
             located = self._locate_batch(phys_addrs, length)
         if located is None:
             for i, addr in enumerate(phys_addrs):
@@ -1146,8 +910,8 @@ class DramModule:
         (all flips land before any payload byte), so a batch that hammers
         rows it also writes sees its payload win — the same end state as
         the scalar loop for non-self-hammering batches, which is what every
-        internal caller issues.  Falls back to the exact path under ECC or
-        TRR/PARA, and for row-crossing spans.
+        internal caller issues.  Falls back to a :meth:`write` loop under
+        ECC or TRR/PARA, and for row-crossing spans.
         """
         n = len(phys_addrs)
         if n == 0:
@@ -1157,7 +921,7 @@ class DramModule:
             raise DramAddressError("write_batch data must be (n, length) bytes")
         length = data.shape[1]
         located = None
-        if not (self.ecc_enabled or self.trr is not None or self.para is not None):
+        if not self._batch_needs_exact_path():
             located = self._locate_batch(phys_addrs, length)
         if located is None:
             for i, addr in enumerate(phys_addrs):

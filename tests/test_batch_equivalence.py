@@ -6,7 +6,9 @@ invisible*: with no randomized mitigation active, pushing a workload through
 the batch engine and replaying the same workload access-by-access must yield
 identical flip events, identical activation accounting, and identical bytes.
 These tests pin that property on a deliberately fragile DRAM profile so that
-real flips are part of what is compared.
+real flips are part of what is compared.  The same holds inside the ordered
+activation stream: a loop of scalar ``activate`` calls is the length-1 case
+of ``activate_burst``, under every TRR sampler and PARA.
 
 Also here: the regression test for ``FlipEvent.in_check_region`` (it must be
 derived from the flip's byte offset, not default to False).
@@ -14,12 +16,17 @@ derived from the flip's byte offset, not default to False).
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dram import (
+    SAMPLING_POLICIES,
     DramAddress,
     DramGeometry,
     DramModule,
     GenerationProfile,
+    Para,
+    TargetRowRefresh,
     VulnerabilityModel,
 )
 from repro.ftl.l2p import UNMAPPED
@@ -194,6 +201,85 @@ class TestAccessBatchEquivalence:
         snap_h = histogram.metrics.snapshot()
         assert snap_c["dram.activations"] == snap_h["dram.activations"]
         assert snap_c["dram.flips"] == snap_h["dram.flips"]
+
+
+def without_row_hits(seq):
+    """Drop every ACT that would hit its bank's open row, so a scalar
+    access loop activates exactly what an explicit burst does."""
+    open_rows = {}
+    out = []
+    for bank, row in seq:
+        if open_rows.get(bank) != row:
+            out.append((bank, row))
+            open_rows[bank] = row
+    return out
+
+
+class TestActivateStreamEquivalence:
+    """A scalar ``activate`` is the length-1 case of the ordered stream: a
+    loop of them matches ``activate_burst`` on the same row-hit-free
+    sequence — flips, window counters and sampler refreshes — under every
+    TRR sampling policy, shared or per-bank, and PARA."""
+
+    @pytest.mark.parametrize("per_bank", [True, False])
+    @pytest.mark.parametrize("policy", SAMPLING_POLICIES + (None,))
+    @settings(max_examples=20, deadline=None)
+    @given(
+        # A repeated access pattern over few rows, so aggressors build real
+        # disturbance; row 0 is an edge.
+        pattern=st.lists(
+            st.tuples(st.integers(0, 1), st.integers(0, 7)),
+            min_size=1,
+            max_size=8,
+        ),
+        repeats=st.integers(1, 300),
+        capacity=st.integers(1, 4),
+        threshold=st.integers(2, 40),
+        radius=st.integers(1, 2),
+        para=st.sampled_from((None, 0.01, 0.1)),
+        seed=st.integers(0, 3),
+    )
+    def test_activate_loop_matches_burst(
+        self, policy, per_bank, pattern, repeats, capacity, threshold, radius,
+        para, seed,
+    ):
+        seq = without_row_hits(pattern * repeats)
+
+        def run(burst):
+            trr = None
+            if policy is not None:
+                trr = TargetRowRefresh(
+                    tracker_capacity=capacity,
+                    refresh_threshold=threshold,
+                    sampling_policy=policy,
+                    per_bank=per_bank,
+                    neighbor_radius=radius,
+                    seed=seed,
+                )
+            dram = make_module(
+                trr=trr,
+                para=None if para is None else Para(probability=para, seed=seed),
+            )
+            # Content straight into the banks: flips have bits to change,
+            # and no activation or row-buffer state precedes the sequence.
+            content = np.frombuffer(PRIME_PATTERN, dtype=np.uint8)
+            for bank in dram.banks:
+                for row in range(GEOMETRY.rows_per_bank):
+                    bank.write(row, 0, content)
+            if burst:
+                dram.activate_burst(seq)
+            else:
+                for bank, row in seq:
+                    dram.activate(bank, row)
+            return (
+                dram.flips,
+                [bank.acts for bank in dram.banks],
+                trr.refreshes_issued if trr is not None else None,
+                dram.para.refreshes_issued if dram.para is not None else None,
+                dram.metrics.counter("activations").value,
+            )
+
+        assert run(burst=False) == run(burst=True)
 
 
 class TestL2pBatchEquivalence:

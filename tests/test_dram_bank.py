@@ -1,18 +1,45 @@
-"""Tests for bank storage and activation bookkeeping."""
+"""Tests for bank storage and activation bookkeeping.
+
+A bank only holds its counters; :class:`~repro.dram.DramModule` is the one
+place that accounts activations into them, so the activation tests drive a
+module and read the bank it owns.
+"""
 
 import numpy as np
 import pytest
 
-from repro.dram import DramGeometry
+from repro.dram import (
+    DramGeometry,
+    DramModule,
+    GenerationProfile,
+    VulnerabilityModel,
+)
 from repro.dram.bank import Bank, CLOSED_PAGE, OPEN_PAGE
-from repro.errors import DramAddressError
+from repro.errors import ConfigError, DramAddressError
+from repro.sim import SimClock
 
 GEOMETRY = DramGeometry.small(rows_per_bank=64, row_bytes=1024)
+
+#: No realistic rate flips this profile: the activation tests see counters
+#: only, never a flip.
+GRANITE = GenerationProfile(
+    name="bank-granite", year=2021, ddr_type="TEST", min_rate_kps=1e9
+)
 
 
 @pytest.fixture
 def bank():
     return Bank(0, GEOMETRY)
+
+
+def make_module(row_policy=OPEN_PAGE):
+    vulnerability = VulnerabilityModel(GRANITE, GEOMETRY, seed=1)
+    return DramModule(GEOMETRY, vulnerability, SimClock(), row_policy=row_policy)
+
+
+@pytest.fixture
+def dram():
+    return make_module()
 
 
 class TestStorage:
@@ -46,54 +73,61 @@ class TestStorage:
 
 
 class TestActivations:
-    def test_first_access_activates(self, bank):
-        assert bank.record_activation(7) is True
-        assert bank.activation_count(7) == 1
+    def test_first_access_activates(self, dram):
+        dram.activate(0, 7)
+        assert dram.banks[0].acts == {7: 1}
+        assert dram.banks[0].open_row == 7
+        assert dram.metrics.counter("activations").value == 1
 
-    def test_open_row_hit_does_not_activate(self, bank):
-        bank.record_activation(7)
-        assert bank.record_activation(7) is False
-        assert bank.activation_count(7) == 1
+    def test_open_row_hit_does_not_activate(self, dram):
+        dram.activate(0, 7)
+        dram.activate(0, 7)
+        assert dram.banks[0].acts == {7: 1}
+        assert dram.metrics.counter("row_buffer_hits").value == 1
 
-    def test_alternation_activates_every_time(self, bank):
+    def test_alternation_activates_every_time(self, dram):
         for _ in range(10):
-            bank.record_activation(7)
-            bank.record_activation(9)
-        assert bank.activation_count(7) == 10
-        assert bank.activation_count(9) == 10
+            dram.activate(0, 7)
+            dram.activate(0, 9)
+        assert dram.banks[0].acts == {7: 10, 9: 10}
 
-    def test_closed_page_always_activates(self, bank):
+    def test_closed_page_always_activates(self):
+        dram = make_module(row_policy=CLOSED_PAGE)
         for _ in range(5):
-            bank.record_activation(7, CLOSED_PAGE)
-        assert bank.activation_count(7) == 5
+            dram.activate(0, 7)
+        assert dram.banks[0].acts == {7: 5}
+        assert dram.banks[0].open_row is None
 
-    def test_out_of_range_row_rejected(self, bank):
-        with pytest.raises(DramAddressError):
-            bank.record_activation(64)
+    def test_out_of_range_row_rejected(self, dram):
+        with pytest.raises(DramAddressError, match="row 64"):
+            dram.activate(0, 64)
+        assert dram.banks[0].acts == {}
 
-    def test_add_activations_bulk(self, bank):
-        bank.add_activations(3, 1000)
-        assert bank.activation_count(3) == 1000
+    def test_add_activations_bulk(self, dram):
+        dram.access_batch([(0, 3, 1000)])
+        assert dram.banks[0].acts == {3: 1000}
+        assert dram.metrics.counter("activations").value == 1000
 
-    def test_add_activations_negative_rejected(self, bank):
-        with pytest.raises(DramAddressError):
-            bank.add_activations(3, -1)
+    def test_add_activations_negative_rejected(self, dram):
+        with pytest.raises(ConfigError, match="negative"):
+            dram.access_batch([(0, 3, -1)])
+        assert dram.banks[0].acts == {}
 
 
 class TestEpochs:
     def test_roll_clears_counts(self, bank):
-        bank.record_activation(7)
+        bank.acts[7] = 1
         assert bank.roll_epoch(1) is True
-        assert bank.activation_count(7) == 0
+        assert bank.acts == {}
 
     def test_same_epoch_is_noop(self, bank):
         bank.roll_epoch(1)
-        bank.record_activation(7)
+        bank.acts[7] = 1
         assert bank.roll_epoch(1) is False
-        assert bank.activation_count(7) == 1
+        assert bank.acts == {7: 1}
 
     def test_roll_clears_baselines(self, bank):
-        bank.record_activation(7)
+        bank.acts[7] = 1
         bank.refresh_victim(8)
         bank.roll_epoch(1)
         assert bank.victim_side_counts(8) == (0, 0)
@@ -101,20 +135,18 @@ class TestEpochs:
 
 class TestVictimAccounting:
     def test_side_counts_from_neighbours(self, bank):
-        bank.add_activations(7, 10)
-        bank.add_activations(9, 4)
+        bank.acts.update({7: 10, 9: 4})
         assert bank.victim_side_counts(8) == (10, 4)
 
     def test_refresh_resets_baseline(self, bank):
-        bank.add_activations(7, 10)
-        bank.add_activations(9, 4)
+        bank.acts.update({7: 10, 9: 4})
         bank.refresh_victim(8)
         assert bank.victim_side_counts(8) == (0, 0)
-        bank.add_activations(7, 3)
+        bank.acts[7] += 3
         assert bank.victim_side_counts(8) == (3, 0)
 
     def test_edge_rows_have_one_side(self, bank):
-        bank.add_activations(1, 5)
+        bank.acts[1] = 5
         assert bank.victim_side_counts(0) == (0, 5)
 
 

@@ -192,6 +192,8 @@ class TestTrrTarget:
             dram.activate_burst([(99, 0)])
         with pytest.raises(DramAddressError, match="row"):
             dram.activate_burst([(0, 10_000)])
+        with pytest.raises(DramAddressError, match="row"):
+            dram.activate(0, dram.geometry.rows_per_bank)
 
     def test_activate_burst_matches_scalar_activations(self):
         """The ordered burst is bit-identical to one-at-a-time ACTs."""
