@@ -625,9 +625,10 @@ class DramModule:
 
         The campaign walks refresh windows and applies each window's share
         of activations as one histogram.  A campaign is *inert* when even
-        with all of its accesses in one window it could not reach the
-        weakest victim cell and no mitigation draws per-window state: its
-        windows are walked but never evaluated.
+        with all of its accesses in one window, on top of the activations
+        that window already holds, it could not reach the weakest victim
+        cell and no mitigation draws per-window state: its windows are
+        walked but never evaluated.
         """
         if access_rate <= 0:
             raise ConfigError("access rate must be positive")
@@ -653,10 +654,9 @@ class DramModule:
         tracer = self.tracer
         start = clock._now
         sampled = self.trr is not None or self.para is not None
-        inert = (
-            not sampled
-            and total_accesses * plan.ub_coeff < plan.min_victim_threshold
-        )
+        inert = not sampled and (
+            self._window_load(plan, int(start / interval)) + total_accesses
+        ) * plan.ub_coeff < plan.min_victim_threshold
         result = HammerResult(0, 0.0, 0)
         flips_before = len(self.flips)
         remaining = total_accesses
@@ -685,9 +685,13 @@ class DramModule:
                 )
             # Closed-form skip: with no mitigation drawing per-window
             # state, a window whose best-case disturbance misses the
-            # weakest victim cell cannot flip anything.
+            # weakest victim cell cannot flip anything.  The bound counts
+            # every ACT the window holds, scalar accesses and earlier
+            # campaigns included, not only this campaign's.
             if sampled or (
-                not inert and accesses * plan.ub_coeff >= plan.min_victim_threshold
+                not inert
+                and self._window_load(plan, epoch) * plan.ub_coeff
+                >= plan.min_victim_threshold
             ):
                 self._evaluate_victims(plan.victims, result)
             remaining -= accesses
@@ -710,6 +714,15 @@ class DramModule:
                 **mitigation,
             )
         return result
+
+    def _window_load(self, plan: _PatternPlan, epoch: int) -> int:
+        """ACTs the pattern's banks hold in refresh window ``epoch``."""
+        banks = self.banks
+        return sum(
+            sum(banks[bank_idx].acts.values())
+            for bank_idx in plan.positions
+            if banks[bank_idx].epoch == epoch
+        )
 
     def _plan_for(self, pattern: Sequence[Tuple[int, int]]) -> _PatternPlan:
         """Validate a hammer pattern and return its cached plan."""

@@ -203,6 +203,48 @@ class TestAccessBatchEquivalence:
         assert snap_c["dram.flips"] == snap_h["dram.flips"]
 
 
+def cell_keys(flips):
+    """The set of flipped cells, independent of order and timestamps."""
+    return {(f.bank, f.row, f.byte_offset, f.bit, f.flips_to) for f in flips}
+
+
+class TestSplitHammerEquivalence:
+    """A hammer campaign split into bursts inside one refresh window flips
+    the cells one burst of the same total flips, and the cells
+    ``access_batch`` flips for the same counts — also when scalar reads
+    already put activations in the window.  The closed-form skip must
+    count those, not only the burst's own accesses."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        victim=st.integers(3, GEOMETRY.rows_per_bank - 4),
+        sides=st.lists(st.sampled_from((-1, 1)), max_size=160),
+        bursts=st.lists(st.integers(1, 40), min_size=1, max_size=10),
+    )
+    def test_split_bursts_flip_like_one_burst_and_a_histogram(
+        self, victim, sides, bursts
+    ):
+        pattern = [(0, victim - 1), (0, victim + 1)]
+        split, whole, histogram = (make_module() for _ in range(3))
+        for dram in (split, whole, histogram):
+            prime_rows(dram, [(0, row) for row in range(victim - 3, victim + 4)])
+            for side in sides:
+                dram.read(addr_of(dram, 0, victim + side), 4)
+        # Whole pattern repeats per burst, so every split gives each
+        # aggressor the same count; 1e9 ACT/s keeps it all in window 0.
+        for repeats in bursts:
+            split.hammer(pattern, total_accesses=2 * repeats, access_rate=1e9)
+        whole.hammer(pattern, total_accesses=2 * sum(bursts), access_rate=1e9)
+        histogram.access_batch(
+            [(bank, row, sum(bursts)) for bank, row in pattern]
+        )
+
+        assert split.clock.epoch(split.refresh_interval) == 0
+        assert split.banks[0].acts == whole.banks[0].acts == histogram.banks[0].acts
+        assert cell_keys(split.flips) == cell_keys(histogram.flips)
+        assert cell_keys(whole.flips) == cell_keys(histogram.flips)
+
+
 def without_row_hits(seq):
     """Drop every ACT that would hit its bank's open row, so a scalar
     access loop activates exactly what an explicit burst does."""
