@@ -86,7 +86,7 @@ class DeviceTimingModel:
         return 1.0 / self.base_command_time
 
 
-@dataclass(slots=True)
+@dataclass
 class BurstResult:
     """Outcome of a closed-form read burst (hammering campaign)."""
 
