@@ -1,6 +1,7 @@
 """Tests for the ``python -m repro`` command-line front end."""
 
 import json
+import os
 
 import pytest
 
@@ -227,6 +228,19 @@ class TestFuzzCommand:
         assert "check ftl   ok" in out
         assert "check ext4  ok" in out
         assert code in (0, 1)  # leak or not; invariants held either way
+
+
+class TestDemoGolden:
+    FIXTURE = os.path.join(os.path.dirname(__file__), "golden", "demo.stdout")
+
+    def test_default_demo_stdout_matches_fixture(self, capsys):
+        """``python -m repro demo`` with default arguments prints exactly
+        the committed bytes: the end-to-end attack, DRAM accounting
+        included, is unchanged."""
+        assert main(["demo"]) == 0
+        with open(self.FIXTURE, "rb") as handle:
+            expected = handle.read()
+        assert capsys.readouterr().out.encode("utf-8") == expected
 
 
 class TestTraceCommand:
