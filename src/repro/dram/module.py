@@ -107,14 +107,7 @@ class _PatternPlan:
     distinct pattern and cached on the module.
     """
 
-    __slots__ = (
-        "length",
-        "positions",
-        "victims",
-        "min_victim_threshold",
-        "ub_coeff",
-        "_windows",
-    )
+    __slots__ = ("length", "positions", "victims", "min_victim_threshold", "ub_coeff")
 
     def __init__(self, module: "DramModule", pattern: Tuple[Tuple[int, int], ...]):
         self.length = len(pattern)
@@ -140,26 +133,17 @@ class _PatternPlan:
         self.ub_coeff = (
             1.0 + vulnerability.synergy / 2.0 + vulnerability.neighbor2_weight
         )
-        # accesses -> window histogram: every full window of a campaign
-        # carries the same budget.  Bounded, cleared when full.
-        self._windows: Dict[int, Histogram] = {}
 
     def window(self, accesses: int) -> Histogram:
         """One window's histogram: ``accesses`` split round-robin over the
         pattern positions — each row gets one full share per position it
-        occupies, plus one for each of its positions below the remainder.
-        Callers must not mutate it."""
-        histogram = self._windows.get(accesses)
-        if histogram is None:
-            base, extra = divmod(accesses, self.length)
-            histogram = {}
-            for bank_idx, rows in self.positions.items():
-                histogram[bank_idx] = counts = {}
-                for row, positions in rows.items():
-                    counts[row] = base * len(positions) + bisect_left(positions, extra)
-            if len(self._windows) >= 64:
-                self._windows.clear()
-            self._windows[accesses] = histogram
+        occupies, plus one for each of its positions below the remainder."""
+        base, extra = divmod(accesses, self.length)
+        histogram: Histogram = {}
+        for bank_idx, rows in self.positions.items():
+            histogram[bank_idx] = counts = {}
+            for row, positions in rows.items():
+                counts[row] = base * len(positions) + bisect_left(positions, extra)
         return histogram
 
 
@@ -404,7 +388,6 @@ class DramModule:
         tracer = self.tracer
         rows_per_bank = self._rows_per_bank
         thresholds = self._min_thresholds
-        evaluate = self._evaluate_victim
         open_page = self.row_policy == OPEN_PAGE
         total = hits = 0
         for bank_idx, row in seq:
@@ -443,12 +426,13 @@ class DramModule:
                     if threshold is None:
                         threshold = self.vulnerability.min_threshold(bank_idx, victim)
                     if threshold != _INF:
-                        evaluate(bank, victim, threshold)
+                        self._evaluate_victim(bank, victim, threshold)
         if hits:
             self._row_hits.value += hits
-        self._activations.value += total
-        if explicit and total and tracer is not None:
-            tracer.emit("dram.activate", count=total)
+        if total:
+            self._activations.value += total
+            if explicit and tracer is not None:
+                tracer.emit("dram.activate", count=total)
 
     def _refresh_victims(self, bank: Bank, row: int, victims: List[int], event: str) -> None:
         """A mitigation's targeted refresh of the rows around ``row``."""
@@ -551,7 +535,8 @@ class DramModule:
 
     def _add_window(self, epoch: int, histogram: Histogram) -> int:
         """Add one refresh window's histogram to the bank counters, every
-        bank in it entering ``epoch`` first; returns the ACTs added."""
+        bank in it entering ``epoch`` first; returns the ACTs added (the
+        caller counts them)."""
         trr = self.trr
         banks = self.banks
         total = 0
@@ -566,7 +551,6 @@ class DramModule:
                 if n:
                     acts[row] = acts.get(row, 0) + n
                     total += n
-        self._activations.value += total
         return total
 
     def _victims(self, histogram: Dict[int, Dict[int, object]]) -> Victims:
@@ -606,6 +590,7 @@ class DramModule:
     def _apply_batch(self, histogram: Histogram) -> None:
         """Apply one batch's histogram to the current refresh window."""
         total = self._add_window(self.clock.epoch(self.refresh_interval), histogram)
+        self._activations.value += total
         if total and self.tracer is not None:
             self.tracer.emit("dram.activate", count=total)
         self._evaluate_victims(self._victims(histogram))
@@ -660,6 +645,7 @@ class DramModule:
         result = HammerResult(0, 0.0, 0)
         flips_before = len(self.flips)
         remaining = total_accesses
+        last_epoch, last_accesses = -1, 0
         while remaining > 0:
             now = clock._now
             epoch = int(now / interval)
@@ -678,7 +664,15 @@ class DramModule:
             # hammering has actually happened (a positive step, so
             # advance()'s validation is redundant).
             clock._now = now + accesses / access_rate
-            self._add_window(epoch, plan.window(accesses))
+            if inert:
+                # Nothing evaluates an inert campaign, and each rollover
+                # clears the window before, so only its last window's ACTs
+                # are added, after the walk.
+                if epoch != last_epoch:
+                    last_epoch, last_accesses = epoch, 0
+                last_accesses += accesses
+            else:
+                self._add_window(epoch, plan.window(accesses))
             if tracer is not None:
                 tracer.emit(
                     "dram.window", epoch=epoch, accesses=accesses, pattern=plan.length
@@ -688,15 +682,18 @@ class DramModule:
             # weakest victim cell cannot flip anything.  The bound counts
             # every ACT the window holds, scalar accesses and earlier
             # campaigns included, not only this campaign's.
-            if sampled or (
-                not inert
-                and self._window_load(plan, epoch) * plan.ub_coeff
+            if not inert and (
+                sampled
+                or self._window_load(plan, epoch) * plan.ub_coeff
                 >= plan.min_victim_threshold
             ):
                 self._evaluate_victims(plan.victims, result)
             remaining -= accesses
             result.accesses += accesses
             result.windows += 1
+        if last_accesses:
+            self._add_window(last_epoch, plan.window(last_accesses))
+        self._activations.value += result.accesses
         result.duration = clock._now - start
         result.flips = self.flips[flips_before:]
         if tracer is not None:
@@ -717,12 +714,12 @@ class DramModule:
 
     def _window_load(self, plan: _PatternPlan, epoch: int) -> int:
         """ACTs the pattern's banks hold in refresh window ``epoch``."""
-        banks = self.banks
-        return sum(
-            sum(banks[bank_idx].acts.values())
-            for bank_idx in plan.positions
-            if banks[bank_idx].epoch == epoch
-        )
+        load = 0
+        for bank_idx in plan.positions:
+            bank = self.banks[bank_idx]
+            if bank.epoch == epoch:
+                load += sum(bank.acts.values())
+        return load
 
     def _plan_for(self, pattern: Sequence[Tuple[int, int]]) -> _PatternPlan:
         """Validate a hammer pattern and return its cached plan."""
