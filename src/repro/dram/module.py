@@ -388,6 +388,7 @@ class DramModule:
         tracer = self.tracer
         rows_per_bank = self._rows_per_bank
         thresholds = self._min_thresholds
+        evaluate = self._evaluate_victim
         open_page = self.row_policy == OPEN_PAGE
         total = hits = 0
         for bank_idx, row in seq:
@@ -424,9 +425,11 @@ class DramModule:
                 if 0 <= victim < rows_per_bank:
                     threshold = thresholds.get((bank_idx, victim))
                     if threshold is None:
-                        threshold = self.vulnerability.min_threshold(bank_idx, victim)
+                        threshold = self.vulnerability.min_threshold(
+                            bank_idx, victim
+                        )
                     if threshold != _INF:
-                        self._evaluate_victim(bank, victim, threshold)
+                        evaluate(bank, victim, threshold)
         if hits:
             self._row_hits.value += hits
         if total:
@@ -434,7 +437,9 @@ class DramModule:
             if explicit and tracer is not None:
                 tracer.emit("dram.activate", count=total)
 
-    def _refresh_victims(self, bank: Bank, row: int, victims: List[int], event: str) -> None:
+    def _refresh_victims(
+        self, bank: Bank, row: int, victims: List[int], event: str
+    ) -> None:
         """A mitigation's targeted refresh of the rows around ``row``."""
         if self.tracer is not None:
             self.tracer.emit(event, bank=bank.index, row=row, victims=len(victims))

@@ -263,8 +263,15 @@ class TestActivateStreamEquivalence:
     sequence — flips, window counters and sampler refreshes — under every
     TRR sampling policy, shared or per-bank, and PARA."""
 
-    @pytest.mark.parametrize("per_bank", [True, False])
-    @pytest.mark.parametrize("policy", SAMPLING_POLICIES + (None,))
+    @pytest.mark.parametrize(
+        "policy, per_bank",
+        [
+            (policy, per_bank)
+            for policy in SAMPLING_POLICIES
+            for per_bank in (True, False)
+        ]
+        + [(None, True)],
+    )
     @settings(max_examples=20, deadline=None)
     @given(
         # A repeated access pattern over few rows, so aggressors build real

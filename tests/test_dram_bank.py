@@ -8,23 +8,13 @@ module and read the bank it owns.
 import numpy as np
 import pytest
 
-from repro.dram import (
-    DramGeometry,
-    DramModule,
-    GenerationProfile,
-    VulnerabilityModel,
-)
+from repro.dram import DramGeometry, DramModule, VulnerabilityModel
 from repro.dram.bank import Bank, CLOSED_PAGE, OPEN_PAGE
 from repro.errors import ConfigError, DramAddressError
 from repro.sim import SimClock
+from tests.conftest import GRANITE
 
 GEOMETRY = DramGeometry.small(rows_per_bank=64, row_bytes=1024)
-
-#: No realistic rate flips this profile: the activation tests see counters
-#: only, never a flip.
-GRANITE = GenerationProfile(
-    name="bank-granite", year=2021, ddr_type="TEST", min_rate_kps=1e9
-)
 
 
 @pytest.fixture
@@ -33,6 +23,7 @@ def bank():
 
 
 def make_module(row_policy=OPEN_PAGE):
+    # No realistic rate flips GRANITE: these tests see counters only.
     vulnerability = VulnerabilityModel(GRANITE, GEOMETRY, seed=1)
     return DramModule(GEOMETRY, vulnerability, SimClock(), row_policy=row_policy)
 
