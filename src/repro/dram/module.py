@@ -387,6 +387,7 @@ class DramModule:
         para = self.para
         tracer = self.tracer
         rows_per_bank = self._rows_per_bank
+        deltas = self._victim_deltas
         thresholds = self._min_thresholds
         evaluate = self._evaluate_victim
         open_page = self.row_policy == OPEN_PAGE
@@ -420,7 +421,7 @@ class DramModule:
                 victims = para.on_activation(bank_idx, row)
                 if victims:
                     self._refresh_victims(bank, row, victims, "dram.para")
-            for delta in self._victim_deltas:
+            for delta in deltas:
                 victim = row + delta
                 if 0 <= victim < rows_per_bank:
                     threshold = thresholds.get((bank_idx, victim))
