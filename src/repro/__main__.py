@@ -83,16 +83,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
     )
     result = attack.run()
     if testbed.tracer is not None:
-        from repro.sim import merge_snapshots
-
-        testbed.tracer.close(
-            metrics=merge_snapshots(
-                testbed.dram.metrics,
-                testbed.ftl.metrics,
-                testbed.controller.metrics,
-                testbed.ftl.flash.metrics,
-            )
-        )
+        testbed.tracer.close(metrics=testbed.controller.stack_snapshot())
         print("trace:             %d event(s) (%d dropped) -> %s"
               % (testbed.tracer.emitted, testbed.tracer.dropped, args.trace))
     print("cycles run:        %d" % len(result.cycles))
@@ -306,11 +297,10 @@ def cmd_faults(args: argparse.Namespace) -> int:
 def cmd_trace(args: argparse.Namespace) -> int:
     """Summarize, validate, diff, or export one structured JSONL trace."""
     from repro.trace import (
+        GOLDENS,
         conservation_errors,
         diff_summaries,
         emit_golden,
-        emit_payload_golden,
-        emit_utrr_golden,
         format_summary,
         load_trace,
         summarize,
@@ -319,21 +309,17 @@ def cmd_trace(args: argparse.Namespace) -> int:
     )
 
     if args.emit_golden:
-        count = emit_golden(args.emit_golden)
-        print("golden trace: %d event(s) -> %s" % (count, args.emit_golden))
-    if args.emit_payload_golden:
-        count = emit_payload_golden(args.emit_payload_golden)
-        print("payload golden trace: %d event(s) -> %s"
-              % (count, args.emit_payload_golden))
-    if args.emit_utrr_golden:
-        count = emit_utrr_golden(args.emit_utrr_golden)
-        print("utrr golden trace: %d event(s) -> %s"
-              % (count, args.emit_utrr_golden))
+        name, path = args.emit_golden
+        if name not in GOLDENS:
+            print("trace: unknown golden %r (known: %s)"
+                  % (name, ", ".join(GOLDENS)))
+            return 2
+        count = emit_golden(name, path)
+        print("golden trace %s: %d event(s) -> %s" % (name, count, path))
     if args.file is None:
-        if args.emit_golden or args.emit_payload_golden or args.emit_utrr_golden:
+        if args.emit_golden:
             return 0
-        print("trace: need a trace file (or --emit-golden / "
-              "--emit-payload-golden / --emit-utrr-golden PATH)")
+        print("trace: need a trace file (or --emit-golden NAME OUT_JSONL)")
         return 2
     events = load_trace(args.file)
     summary = summarize(events)
@@ -390,8 +376,7 @@ loop 256 {
 
 def cmd_utrr(args: argparse.Namespace) -> int:
     """Run the U-TRR inference pipeline against a configured sampler."""
-    from repro.trace import Tracer
-    from repro.utrr import UtrrPipeline, build_utrr_target
+    from repro.utrr import build_utrr_target, run_inference
 
     trr_config = {
         "tracker_capacity": args.capacity,
@@ -400,20 +385,13 @@ def cmd_utrr(args: argparse.Namespace) -> int:
         "per_bank": args.per_bank,
         "seed": args.seed,
     }
-    tracer = None
-    dram = build_utrr_target(trr_config, seed=args.seed)
-    if args.trace:
-        tracer = Tracer(dram.clock, path=args.trace)
-        dram.tracer = tracer
-    pipeline = UtrrPipeline(
-        dram,
-        tracer=tracer,
+    report = run_inference(
+        trr_config,
+        seed=args.seed,
+        trace_path=args.trace,
         max_capacity=args.max_capacity,
         cycles=args.cycles,
     )
-    report = pipeline.infer()
-    if tracer is not None:
-        tracer.close(metrics=dram.metrics.snapshot())
     if args.report:
         with open(args.report, "w", encoding="utf-8") as handle:
             handle.write(report.to_json())
@@ -604,7 +582,6 @@ def cmd_payload_run(args: argparse.Namespace) -> int:
         recon_bindings,
         resolve_program,
     )
-    from repro.sim import merge_snapshots
 
     try:
         program = _payload_source(args)
@@ -633,14 +610,7 @@ def cmd_payload_run(args: argparse.Namespace) -> int:
         print("payload run: %s" % error)
         return 2
     if testbed.tracer is not None:
-        testbed.tracer.close(
-            metrics=merge_snapshots(
-                testbed.dram.metrics,
-                testbed.ftl.metrics,
-                testbed.controller.metrics,
-                testbed.ftl.flash.metrics,
-            )
-        )
+        testbed.tracer.close(metrics=testbed.controller.stack_snapshot())
     if args.json:
         print(
             json.dumps(
@@ -703,7 +673,6 @@ def cmd_payload_diff(args: argparse.Namespace) -> int:
     from repro.attack.profile import DeviceProfile
     from repro.attack.recon import find_cross_partition_triples
     from repro.payload import compile_program, execute_payload, program_from_plan
-    from repro.sim import merge_snapshots
 
     def fresh(trace_path):
         testbed = build_cloud_testbed(seed=args.seed, trace_path=trace_path)
@@ -731,16 +700,6 @@ def cmd_payload_diff(args: argparse.Namespace) -> int:
             return many_sided_plan(triples[: max(2, args.pairs)], ns)
         return one_location_plan(triples[0].aggressor_pair[0], ns)
 
-    def finish(testbed):
-        testbed.tracer.close(
-            metrics=merge_snapshots(
-                testbed.dram.metrics,
-                testbed.ftl.metrics,
-                testbed.controller.metrics,
-                testbed.ftl.flash.metrics,
-            )
-        )
-
     failures = 0
     for shape in ("double_sided", "single_sided", "many_sided", "one_location"):
         with tempfile.TemporaryDirectory() as tmp:
@@ -750,7 +709,7 @@ def cmd_payload_diff(args: argparse.Namespace) -> int:
             hand_tb, hand_triples = fresh(hand_path)
             plan = plan_for(shape, hand_tb, hand_triples)
             plan.execute(hand_tb.attacker_vm, args.ios)
-            finish(hand_tb)
+            hand_tb.tracer.close(metrics=hand_tb.controller.stack_snapshot())
             hand_flips = tuple(hand_tb.dram.flips)
             hand_clock = hand_tb.dram.clock.now
 
@@ -760,7 +719,7 @@ def cmd_payload_diff(args: argparse.Namespace) -> int:
             compiled = compile_program(twin)
             execute_payload(compiled, vm=dsl_tb.attacker_vm,
                             trace_payload=False)
-            finish(dsl_tb)
+            dsl_tb.tracer.close(metrics=dsl_tb.controller.stack_snapshot())
             dsl_flips = tuple(dsl_tb.dram.flips)
             dsl_clock = dsl_tb.dram.clock.now
 
@@ -1203,8 +1162,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="replay every executed trial through the scalar "
                             "path and fail on any result mismatch")
     sweep.add_argument("--trace-dir", default=None, metavar="DIR",
-                       help="per-trial structured traces land here "
-                            "(trace-capable kinds; summary stays identical)")
+                       help="per-trial structured traces land here for the "
+                            "fault_campaign, serve/serve_chaos, payload and "
+                            "utrr kinds (summary stays identical)")
     sweep.set_defaults(func=cmd_sweep)
 
     sweep_diff = sub.add_parser(
@@ -1315,17 +1275,12 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--chrome", default=None, metavar="OUT_JSON",
                        help="export Chrome trace_event JSON for "
                             "chrome://tracing / Perfetto")
-    trace.add_argument("--emit-golden", default=None, metavar="OUT_JSONL",
-                       help="regenerate the golden double-sided-hammer "
-                            "fixture trace to OUT_JSONL")
-    trace.add_argument("--emit-payload-golden", default=None,
-                       metavar="OUT_JSONL",
-                       help="regenerate the golden compiled-payload fixture "
-                            "trace to OUT_JSONL")
-    trace.add_argument("--emit-utrr-golden", default=None,
-                       metavar="OUT_JSONL",
-                       help="regenerate the golden U-TRR inference fixture "
-                            "trace to OUT_JSONL")
+    trace.add_argument("--emit-golden", nargs=2, default=None,
+                       metavar=("NAME", "OUT_JSONL"),
+                       help="regenerate golden fixture NAME "
+                            "(tests/golden/NAME.trace.jsonl: "
+                            "double_sided_hammer, payload_double_sided or "
+                            "utrr_infer) to OUT_JSONL")
     trace.set_defaults(func=cmd_trace)
 
     utrr = sub.add_parser(

@@ -19,11 +19,14 @@ Built-ins:
   injection and power cycles (:func:`repro.testkit.fuzzer.run_campaign`
   with a :class:`repro.faults.FaultPlan` assembled from ``faults`` /
   ``faults.*`` parameters);
-* ``serve`` — one multi-tenant serving scenario
-  (:func:`repro.serve.run_scenario`) with sweepable per-tenant QoS
-  overrides (``max_iops`` / ``attacker_max_iops`` / ``benign_max_iops``);
-* ``sleep`` / ``flaky`` — inert kinds for soak-testing the scheduler's
-  timeout and retry paths (used by the test suite and benchmarks).
+* ``serve`` (also registered as ``serve_chaos``) — one multi-tenant
+  serving scenario (:func:`repro.serve.run_scenario`) with QoS caps,
+  ``faults.*`` fields and resilience policy as axes;
+* ``payload`` / ``utrr`` — one payload-DSL program / one U-TRR inference.
+
+Under ``sweep --trace-dir`` every kind above except ``monte_carlo``,
+``probability_grid`` and ``mitigation`` writes a trace per trial.  The
+scheduler's soak kinds live in :mod:`repro.testkit.soak`.
 
 Heavy imports happen inside the trial functions so that importing the
 engine never drags in the whole attack stack, and so the registry stays
@@ -34,7 +37,6 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.engine.spec import TrialSpec
@@ -59,6 +61,13 @@ def set_trace_dir(path: Optional[str]) -> None:
     """
     global _TRACE_DIR
     _TRACE_DIR = path
+
+
+def _trace_path(trial: TrialSpec) -> Optional[str]:
+    """``<trace dir>/<trial id>.trace.jsonl``, or None when tracing is off."""
+    if _TRACE_DIR is None:
+        return None
+    return os.path.join(_TRACE_DIR, "%s.trace.jsonl" % trial.trial_id)
 
 
 def register_trial_kind(name: str, fn: TrialFn, replace: bool = False) -> None:
@@ -268,25 +277,35 @@ def _trial_fault_campaign(trial: TrialSpec) -> Dict[str, Any]:
 def _trial_serve(trial: TrialSpec) -> Dict[str, Any]:
     """One multi-tenant serving scenario (see :mod:`repro.serve`).
 
-    The ``scenario`` base key carries a full :class:`ServeScenario` dict;
-    sweep axes then override QoS knobs across its tenants:
+    The ``scenario`` base key carries a full :class:`ServeScenario` dict
+    (its ``faults`` section included).  Sweep axes then override it:
 
     * ``max_iops`` — cap for *every* tenant (``null`` = unlimited);
     * ``attacker_max_iops`` / ``benign_max_iops`` — cap only tenants
       whose workload kind is / is not ``hammer_attacker`` (the §5
       noisy-neighbor grid sweeps ``attacker_max_iops``);
+    * dotted ``faults.*`` axes override fault-plan fields (e.g. a grid
+      over ``faults.read_error_rate``); the assembled plan is reseeded
+      through the trial's spawn key, so every repeat runs an independent
+      but reproducible fault universe;
+    * resilience-policy axes (``retry_attempts``, ``retry_backoff``,
+      ``deadline``, ``hedge``, ``hedge_delay``, ``on_read_only``,
+      ``latency_target``, ``error_budget``) apply to *every* tenant;
     * ``quantum`` — the arbiter's round quantum.
 
     The flat result fields are the sweep-aggregable answer: did the
-    attacker's activation rate stay below the hammer threshold, and what
-    p99 did the benign tenants pay.
+    attacker's activation rate stay below the hammer threshold, what p99
+    did the benign tenants pay, what did the faults cost (retries,
+    timeouts, availability gap), did hedging buy the tail back, and —
+    non-negotiably — did any acknowledged write get lost.
     """
+    from repro.faults import FaultPlan
     from repro.serve import ServeScenario, run_scenario
 
     params = dict(trial.params)
     raw = params.pop("scenario", None)
     if raw is None:
-        raise ConfigError("serve trials need a 'scenario' base key")
+        raise ConfigError("%s trials need a 'scenario' base key" % trial.kind)
     raw = json.loads(json.dumps(raw))  # private copy; trials share params
     seed = int(params.pop("seed", trial.seed))
     for axis, applies in (
@@ -299,66 +318,6 @@ def _trial_serve(trial: TrialSpec) -> Dict[str, Any]:
             for tenant in raw.get("tenants", []):
                 if applies(tenant):
                     tenant["max_iops"] = None if cap is None else float(cap)
-    if "quantum" in params:
-        raw["quantum"] = int(params.pop("quantum"))
-    if params:
-        raise ConfigError("unknown serve trial params: %s" % sorted(params))
-    scenario = ServeScenario.from_dict(raw)
-    report = run_scenario(scenario, seed=seed)
-
-    benign = [t for t in report.tenants if t["kind"] != "hammer_attacker"]
-    benign_p99 = [t["p99"] for t in benign]
-    result: Dict[str, Any] = {
-        "duration": report.duration,
-        "flips": report.flips,
-        "commands": sum(t["commands"] for t in report.tenants),
-        "benign_iops_total": sum(t["iops"] for t in benign),
-        "benign_p99_max": max(benign_p99) if benign_p99 else 0.0,
-        "benign_p99_mean": (
-            sum(benign_p99) / len(benign_p99) if benign_p99 else 0.0
-        ),
-        "tenants": report.tenants,
-    }
-    if report.attacker is not None:
-        result["attacker_activation_rate"] = report.attacker["activation_rate"]
-        result["hammer_threshold"] = report.attacker["hammer_threshold"]
-        result["attacker_below_threshold"] = report.attacker["below_threshold"]
-    return result
-
-
-# -- built-in: serve_chaos ----------------------------------------------
-
-
-def _trial_serve_chaos(trial: TrialSpec) -> Dict[str, Any]:
-    """One chaos-serving scenario: faults and resilience policy as axes.
-
-    The ``scenario`` base key carries a full :class:`ServeScenario` dict
-    (its ``faults`` section included).  Sweep axes then walk the chaos
-    surface:
-
-    * dotted ``faults.*`` axes override fault-plan fields (e.g. a grid
-      over ``faults.read_error_rate``); the assembled plan is reseeded
-      through the trial's spawn key, so every repeat runs an independent
-      but reproducible fault universe;
-    * resilience-policy axes (``retry_attempts``, ``retry_backoff``,
-      ``deadline``, ``hedge``, ``hedge_delay``, ``on_read_only``,
-      ``latency_target``, ``error_budget``) apply to *every* tenant;
-    * ``quantum`` — the arbiter's round quantum.
-
-    The flat result fields answer the robustness question: what did the
-    faults cost (retries, timeouts, availability gap, benign p99), did
-    hedging buy the tail back, and — non-negotiably — did any
-    acknowledged write get lost.
-    """
-    from repro.faults import FaultPlan
-    from repro.serve import ServeScenario, run_scenario
-
-    params = dict(trial.params)
-    raw = params.pop("scenario", None)
-    if raw is None:
-        raise ConfigError("serve_chaos trials need a 'scenario' base key")
-    raw = json.loads(json.dumps(raw))  # private copy; trials share params
-    seed = int(params.pop("seed", trial.seed))
     faults = dict(raw.pop("faults", None) or {})
     for key in [k for k in params if k.startswith("faults.")]:
         faults[key.split(".", 1)[1]] = params.pop(key)
@@ -380,16 +339,16 @@ def _trial_serve_chaos(trial: TrialSpec) -> Dict[str, Any]:
         raw["quantum"] = int(params.pop("quantum"))
     if params:
         raise ConfigError(
-            "unknown serve_chaos trial params: %s" % sorted(params)
+            "unknown %s trial params: %s" % (trial.kind, sorted(params))
         )
     scenario = ServeScenario.from_dict(raw)
-    report = run_scenario(scenario, seed=seed)
+    report = run_scenario(scenario, seed=seed, trace_path=_trace_path(trial))
 
     benign = [t for t in report.tenants if t["kind"] != "hammer_attacker"]
     benign_p99 = [t["p99"] for t in benign]
     resilience = report.resilience
     budgets = [t["error_budget_remaining"] for t in report.tenants]
-    return {
+    result: Dict[str, Any] = {
         "duration": report.duration,
         "flips": report.flips,
         "commands": sum(t["commands"] for t in report.tenants),
@@ -402,10 +361,19 @@ def _trial_serve_chaos(trial: TrialSpec) -> Dict[str, Any]:
         "availability_gap_s": resilience["availability_gap_s"],
         "lost_acked_writes": resilience["durability"]["lost"],
         "read_only": resilience["read_only"],
+        "benign_iops_total": sum(t["iops"] for t in benign),
         "benign_p99_max": max(benign_p99) if benign_p99 else 0.0,
+        "benign_p99_mean": (
+            sum(benign_p99) / len(benign_p99) if benign_p99 else 0.0
+        ),
         "error_budget_min": min(budgets) if budgets else 1.0,
         "tenants": report.tenants,
     }
+    if report.attacker is not None:
+        result["attacker_activation_rate"] = report.attacker["activation_rate"]
+        result["hammer_threshold"] = report.attacker["hammer_threshold"]
+        result["attacker_below_threshold"] = report.attacker["below_threshold"]
+    return result
 
 
 # -- built-in: payload --------------------------------------------------
@@ -451,7 +419,7 @@ def _trial_payload(trial: TrialSpec) -> Dict[str, Any]:
     else:
         program = build_template(template, pairs=pairs, repeats=repeats)
 
-    testbed = build_cloud_testbed(seed=seed)
+    testbed = build_cloud_testbed(seed=seed, trace_path=_trace_path(trial))
     if program.placeholders() - set(bindings):
         recon = recon_bindings(
             testbed.controller, 2, victim_nsid=1, limit=max(pairs, 8)
@@ -462,6 +430,8 @@ def _trial_payload(trial: TrialSpec) -> Dict[str, Any]:
     result = execute_payload(
         compiled, vm=testbed.attacker_vm, dram=testbed.dram
     )
+    if testbed.tracer is not None:
+        testbed.tracer.close(metrics=testbed.controller.stack_snapshot())
     return {
         "program": compiled.name,
         "target": compiled.target,
@@ -488,7 +458,7 @@ def _trial_utrr(trial: TrialSpec) -> Dict[str, Any]:
     correctness gate: did black-box inference get the configured capacity
     and policy back?
     """
-    from repro.utrr import UtrrPipeline, build_utrr_target
+    from repro.utrr import run_inference
 
     params = dict(trial.params)
     seed = int(params.pop("seed", trial.seed))
@@ -505,21 +475,13 @@ def _trial_utrr(trial: TrialSpec) -> Dict[str, Any]:
     if params:
         raise ConfigError("unknown utrr trial params: %s" % sorted(params))
 
-    tracer = None
-    dram = build_utrr_target(trr_config, seed=seed)
-    if _TRACE_DIR is not None:
-        from repro.trace import Tracer
-
-        tracer = Tracer(
-            dram.clock,
-            path=os.path.join(_TRACE_DIR, "%s.trace.jsonl" % trial.trial_id),
-        )
-        dram.tracer = tracer
-    report = UtrrPipeline(
-        dram, tracer=tracer, max_capacity=max_capacity, cycles=cycles
-    ).infer()
-    if tracer is not None:
-        tracer.close(metrics=dram.metrics.snapshot())
+    report = run_inference(
+        trr_config,
+        seed=seed,
+        trace_path=_trace_path(trial),
+        max_capacity=max_capacity,
+        cycles=cycles,
+    )
     return {
         "recovered": report.matches(trr_config),
         "inferred_capacity": report.tracker_capacity,
@@ -533,45 +495,11 @@ def _trial_utrr(trial: TrialSpec) -> Dict[str, Any]:
     }
 
 
-# -- built-in soak kinds (scheduler testing) ----------------------------
-
-
-def _trial_sleep(trial: TrialSpec) -> Dict[str, Any]:
-    """Sleep for ``seconds`` — exercises the pool's per-trial timeout."""
-    seconds = float(trial.params.get("seconds", 0.01))
-    time.sleep(seconds)
-    return {"slept": seconds}
-
-
-def _trial_flaky(trial: TrialSpec) -> Dict[str, Any]:
-    """Fail the first ``fail_times`` attempts — exercises retry/backoff.
-
-    Attempt state lives in the file at ``path`` (one line per attempt), so
-    flakiness survives worker restarts and process boundaries.
-    """
-    path = trial.params["path"]
-    fail_times = int(trial.params.get("fail_times", 1))
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            attempts_so_far = len(handle.readlines())
-    except FileNotFoundError:
-        attempts_so_far = 0
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write("attempt %d\n" % (attempts_so_far + 1))
-    if attempts_so_far < fail_times:
-        raise RuntimeError(
-            "flaky trial failing on purpose (attempt %d)" % (attempts_so_far + 1)
-        )
-    return {"attempts_seen": attempts_so_far + 1}
-
-
 register_trial_kind("monte_carlo", _trial_monte_carlo)
 register_trial_kind("probability_grid", _trial_probability_grid)
 register_trial_kind("mitigation", _trial_mitigation)
 register_trial_kind("serve", _trial_serve)
-register_trial_kind("serve_chaos", _trial_serve_chaos)
+register_trial_kind("serve_chaos", _trial_serve)
 register_trial_kind("payload", _trial_payload)
 register_trial_kind("utrr", _trial_utrr)
 register_trial_kind("fault_campaign", _trial_fault_campaign)
-register_trial_kind("sleep", _trial_sleep)
-register_trial_kind("flaky", _trial_flaky)

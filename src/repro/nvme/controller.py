@@ -52,7 +52,7 @@ from repro.nvme.namespace import Namespace
 from repro.nvme.queue import QueuePair
 from repro.nvme.ratelimit import IopsRateLimiter
 from repro.sim.clock import SimClock
-from repro.sim.metrics import MetricRegistry
+from repro.sim.metrics import MetricRegistry, merge_snapshots
 from repro.units import us
 
 
@@ -196,6 +196,14 @@ class NvmeController:
     @property
     def block_bytes(self) -> int:
         return self.ftl.page_bytes
+
+    def stack_snapshot(self) -> Dict[str, float]:
+        """The whole device's metrics as one flat dict: the DRAM, FTL,
+        NVMe and flash registries merged (every stack trace's footer)."""
+        ftl = self.ftl
+        return merge_snapshots(
+            ftl.memory.dram.metrics, ftl.metrics, self.metrics, ftl.flash.metrics
+        )
 
     # ------------------------------------------------------------------
     # synchronous command path

@@ -20,23 +20,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Union
 
-from repro.dram.cache import CacheMode, FtlCpuCache
+from repro.dram.cache import CacheMode
 from repro.dram.geometry import DramGeometry
 from repro.dram.mapping import XorBankMapping
 from repro.dram.module import DramModule
 from repro.dram.para import Para
-from repro.dram.trr import TargetRowRefresh, trr_from_config
-from repro.dram.vulnerability import (
-    GenerationProfile,
-    PAPER_TESTBED_PROFILE,
-    VulnerabilityModel,
-)
+from repro.dram.trr import TargetRowRefresh
+from repro.dram.vulnerability import GenerationProfile, PAPER_TESTBED_PROFILE
 from repro.errors import ConfigError
 from repro.ext4.fs import Ext4Fs
 from repro.ext4.permissions import Credentials, ROOT
 from repro.flash.array import FlashArray
 from repro.flash.geometry import FlashGeometry
-from repro.ftl.ftl import FtlConfig, PageMappingFtl
+from repro.ftl.ftl import PageMappingFtl
 from repro.host.blockdev import BlockDevice
 from repro.host.vm import AccessMode, Vm
 from repro.nvme.controller import DeviceTimingModel, NvmeController
@@ -186,51 +182,33 @@ def build_cloud_testbed(
     if num_lbas < 64:
         raise ConfigError("SSD too small to be interesting")
 
-    clock = SimClock()
-    tracer = None
-    if trace_path is not None:
-        from repro.trace import Tracer
+    from repro.testkit.fixtures import build_stack
 
-        tracer = Tracer(clock, path=trace_path, max_events=trace_max_events)
     table_bytes = num_lbas * 4 + write_buffer_pages * page_bytes
     dram_geometry = _dram_geometry_for(table_bytes, dram_row_bytes, dram_banks)
     # Cell thresholds are physical constants calibrated against the
     # standard 64 ms window; a faster refresh (the mitigation) changes the
     # module's window, not the silicon.
-    vulnerability = VulnerabilityModel(dram_profile, dram_geometry, seed=seed)
-    dram = DramModule(
-        dram_geometry,
-        vulnerability,
-        clock,
-        mapping=mapping_cls(dram_geometry),
-        ecc=ecc,
-        trr=trr_from_config(trr),
-        para=para,
-        refresh_interval=refresh_interval,
-        tracer=tracer,
-    )
-    memory = FtlCpuCache(dram, cache_mode)
-    flash = FlashArray(
-        _flash_geometry_for(num_lbas, page_bytes, 0.125), tracer=tracer
-    )
-    ftl = PageMappingFtl(
-        flash,
-        memory,
-        FtlConfig(
-            num_lbas=num_lbas,
-            l2p_layout=l2p_layout,
-            l2p_key=l2p_key,
-            dif=dif,
-            write_buffer_pages=write_buffer_pages,
-        ),
-        tracer=tracer,
-    )
-    controller = NvmeController(
-        ftl,
-        clock,
+    controller, dram, ftl = build_stack(
+        profile=dram_profile,
+        seed=seed,
+        num_lbas=num_lbas,
+        flash_geometry=_flash_geometry_for(num_lbas, page_bytes, 0.125),
+        dram_geometry=dram_geometry,
+        cache_mode=cache_mode,
+        layout=l2p_layout,
         timing=DeviceTimingModel(hammer_amplification=hammer_amplification),
         rate_limiter=rate_limiter,
-        tracer=tracer,
+        trr=trr,
+        para=para,
+        ecc=ecc,
+        mapping=mapping_cls(dram_geometry),
+        refresh_interval=refresh_interval,
+        l2p_key=l2p_key,
+        dif=dif,
+        write_buffer_pages=write_buffer_pages,
+        trace_path=trace_path,
+        trace_max_events=trace_max_events,
     )
 
     half = num_lbas // 2
@@ -254,16 +232,16 @@ def build_cloud_testbed(
     )
 
     testbed = CloudTestbed(
-        clock=clock,
+        clock=controller.clock,
         dram=dram,
-        flash=flash,
+        flash=ftl.flash,
         ftl=ftl,
         controller=controller,
         victim_vm=victim_vm,
         attacker_vm=attacker_vm,
         victim_fs=victim_fs,
         attacker_process=ATTACKER_PROCESS,
-        tracer=tracer,
+        tracer=controller.tracer,
     )
     if plant_secrets:
         _plant_secrets(testbed)

@@ -34,7 +34,7 @@ from repro.serve.scheduler import (
     TenantRuntime,
 )
 from repro.serve.workload import generate_workload
-from repro.sim.metrics import MetricRegistry, merge_snapshots
+from repro.sim.metrics import MetricRegistry
 
 #: Scenario-selectable DRAM vulnerability profiles.  ``granite`` never
 #: flips, ``fragile`` flips under any serving-scale traffic (its 1000/s
@@ -434,13 +434,7 @@ def run_scenario(
     )
     if controller.tracer is not None and trace_path is not None:
         controller.tracer.close(
-            metrics=merge_snapshots(
-                served_registry,
-                dram.metrics,
-                ftl.metrics,
-                controller.metrics,
-                ftl.flash.metrics,
-            )
+            metrics={**served_registry.snapshot(), **controller.stack_snapshot()}
         )
     return report
 

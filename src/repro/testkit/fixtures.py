@@ -1,7 +1,8 @@
-"""Shared device profiles and the small-stack builder.
+"""Shared device profiles and the one device-stack builder.
 
-Extracted from ``tests/conftest.py`` so tests, examples, and the fuzzer
-assemble the same small full device stack (DRAM + flash + FTL + NVMe)
+Extracted from ``tests/conftest.py`` so tests, examples, the fuzzer and
+the §4 cloud testbed (:func:`repro.scenarios.build_cloud_testbed`)
+assemble the full device stack (DRAM + flash + FTL + NVMe) in one place
 instead of each keeping a private copy.
 """
 
@@ -62,6 +63,9 @@ def build_stack(
     para=None,
     ecc=False,
     mapping=None,
+    refresh_interval=0.064,
+    l2p_key=0x9E3779B97F4A7C15,
+    dif=False,
     write_buffer_pages=0,
     spare_blocks=0,
     fault_plan=None,
@@ -70,11 +74,13 @@ def build_stack(
     trace_path=None,
     trace_max_events=1_000_000,
 ):
-    """Assemble a complete small device; returns (controller, dram, ftl).
+    """Assemble a complete device (small by default); returns
+    (controller, dram, ftl).
 
     ``fault_plan`` (a :class:`repro.faults.FaultPlan`) attaches a fault
-    injector to the flash array; ``write_buffer_pages`` / ``spare_blocks``
-    forward to :class:`FtlConfig` for crash-recovery and wear-out testing.
+    injector to the flash array; ``l2p_key``, ``dif``,
+    ``write_buffer_pages`` and ``spare_blocks`` forward to
+    :class:`FtlConfig`, and ``refresh_interval`` to the DRAM module.
 
     Observability: pass a pre-built ``tracer`` (its clock must be the
     ``clock`` you also pass), or just ``trace_path`` to have the stack
@@ -110,6 +116,7 @@ def build_stack(
         trr=trr_from_config(trr),
         para=para,
         ecc=ecc,
+        refresh_interval=refresh_interval,
         tracer=tracer,
     )
     memory = FtlCpuCache(dram, cache_mode)
@@ -125,6 +132,8 @@ def build_stack(
         FtlConfig(
             num_lbas=num_lbas,
             l2p_layout=layout,
+            l2p_key=l2p_key,
+            dif=dif,
             write_buffer_pages=write_buffer_pages,
             spare_blocks=spare_blocks,
         ),

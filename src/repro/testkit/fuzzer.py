@@ -199,24 +199,6 @@ class CampaignReport:
         return "\n".join(lines)
 
 
-def _close_trace(oracle: DifferentialOracle) -> None:
-    """Flush a traced oracle's tracer with the stack's merged metrics as
-    the trace footer.  No-op for untraced replays."""
-    tracer = getattr(oracle.controller, "tracer", None)
-    if tracer is None:
-        return
-    from repro.sim import merge_snapshots
-
-    tracer.close(
-        metrics=merge_snapshots(
-            oracle.dram.metrics,
-            oracle.ftl.metrics,
-            oracle.controller.metrics,
-            oracle.ftl.flash.metrics,
-        )
-    )
-
-
 def _cross_mode_compare(
     trace: Trace,
     oracles: Dict[str, DifferentialOracle],
@@ -358,7 +340,10 @@ def run_campaign(
     if cross:
         report.divergences["cross-mode"] = cross
     for oracle in oracles.values():
-        _close_trace(oracle)
+        if oracle.controller.tracer is not None:
+            oracle.controller.tracer.close(
+                metrics=oracle.controller.stack_snapshot()
+            )
 
     if shrink and not report.ok:
         failing_mode = next(

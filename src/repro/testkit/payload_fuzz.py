@@ -172,14 +172,14 @@ def _fresh_run(program: Program, seed: int, profile_name: str):
     state tuple everything must agree on."""
     from repro.host.blockdev import BlockDevice
     from repro.host.vm import AccessMode, Vm
-    from repro.sim import SimClock, merge_snapshots
+    from repro.sim import SimClock
     from repro.testkit.fixtures import FRAGILE, GRANITE, build_stack
     from repro.trace.tracer import Tracer
 
     profile = {"fragile": FRAGILE, "granite": GRANITE}[profile_name]
     clock = SimClock()
     tracer = Tracer(clock)
-    controller, dram, ftl = build_stack(
+    controller, dram, _ftl = build_stack(
         profile=profile,
         seed=seed,
         num_lbas=_FUZZ_NUM_LBAS,
@@ -196,11 +196,7 @@ def _fresh_run(program: Program, seed: int, profile_name: str):
         result = execute_payload(compiled, vm=vm, dram=dram, trace_payload=True)
     except PayloadError as exc:
         error = str(exc)
-    tracer.close(
-        metrics=merge_snapshots(
-            dram.metrics, ftl.metrics, controller.metrics, ftl.flash.metrics
-        )
-    )
+    tracer.close(metrics=controller.stack_snapshot())
     return compiled, result, error, tuple(dram.flips), clock.now, tracer.to_jsonl()
 
 

@@ -4,25 +4,23 @@ See :mod:`repro.trace.tracer` for the design constraints.  The usual
 entry points:
 
 * :class:`Tracer` — attach to a stack via ``build_stack(tracer=...)``,
-  ``build_stack(trace_path=...)``, or ``build_cloud_testbed(trace_path=...)``.
+  ``build_stack(trace_path=...)``, or ``build_cloud_testbed(trace_path=...)``;
+  close it with ``controller.stack_snapshot()`` as the metrics footer.
 * :func:`load_trace` / :func:`summarize` / :func:`diff_summaries` — the
   analysis surface behind ``python -m repro trace``.
 * :func:`validate_events` — structural schema check for every event type.
 * :func:`to_chrome` / :func:`write_chrome` — flame-graph export.
-* :func:`run_golden_scenario` / :func:`emit_golden` — the committed
-  golden-trace fixture's generator.
+* :data:`GOLDENS` / :func:`run_golden` / :func:`emit_golden` — the
+  committed golden-trace fixtures, one table of scenarios by name.
 """
 
 from repro.trace.chrome import to_chrome, write_chrome
 from repro.trace.golden import (
     GOLDEN_SEED,
+    GOLDENS,
     UTRR_GOLDEN_TRR,
     emit_golden,
-    emit_payload_golden,
-    emit_utrr_golden,
-    run_golden_scenario,
-    run_payload_golden_scenario,
-    run_utrr_golden_scenario,
+    run_golden,
 )
 from repro.trace.schema import (
     EVENT_SCHEMAS,
@@ -52,11 +50,8 @@ __all__ = [
     "to_chrome",
     "write_chrome",
     "GOLDEN_SEED",
+    "GOLDENS",
     "UTRR_GOLDEN_TRR",
     "emit_golden",
-    "emit_payload_golden",
-    "emit_utrr_golden",
-    "run_golden_scenario",
-    "run_payload_golden_scenario",
-    "run_utrr_golden_scenario",
+    "run_golden",
 ]

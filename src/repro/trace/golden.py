@@ -1,27 +1,39 @@
-"""The golden-trace scenario: one seeded double-sided hammer, traced.
+"""The golden traces: seeded scenarios whose JSONL is pinned byte for byte.
 
-The scenario drives the full vertical — namespace setup, host writes
-(FTL allocation + flash programs), a mapped and an unmapped read, a
-trim, then a double-sided read burst over two LBAs whose L2P entries
-live in DRAM rows 0 and 2 of one bank (the FRAGILE profile flips their
-shared victim row within a refresh window), and finally one more scalar
-read after the hammer so the epoch rollover emits a refresh event.
+:data:`GOLDENS` maps each fixture name to the scenario that writes it;
+``tests/golden/<name>.trace.jsonl`` is the committed fixture, and
+``python -m repro trace --emit-golden NAME OUT_JSONL`` regenerates it
+(CI ``cmp``s every one on each push).
+
+* ``double_sided_hammer`` drives the full vertical — namespace setup,
+  host writes (FTL allocation + flash programs), a mapped and an
+  unmapped read, a trim, then a double-sided read burst over two LBAs
+  whose L2P entries live in DRAM rows 0 and 2 of one bank (the FRAGILE
+  profile flips their shared victim row within a refresh window), and
+  finally one more scalar read after the hammer so the epoch rollover
+  emits a refresh event.
+* ``payload_double_sided`` is its payload-DSL twin: the same hammer
+  through the parse -> resolve -> compile -> execute pipeline with
+  ``payload.*`` events on, so the fixture pins the executor's trace
+  surface as well as the physics.
+* ``utrr_infer`` is a full U-TRR inference run against
+  :data:`UTRR_GOLDEN_TRR`, tracing every ``utrr.*`` stage/probe/report
+  event plus the underlying ``dram.*`` activity.
 
 Everything is a pure function of :data:`GOLDEN_SEED` and the simulated
-clock, so the emitted JSONL is byte-identical run to run — the committed
-fixture under ``tests/golden/`` pins it, and CI regenerates and ``cmp``s
-it on every push.
+clock, so the emitted JSONL is byte-identical run to run.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.sim import SimClock, merge_snapshots
+from repro.sim import SimClock
 from repro.trace.tracer import Tracer
 
-#: Seed of the committed fixture.  Changing it (or anything the scenario
-#: touches) invalidates ``tests/golden/double_sided_hammer.trace.jsonl``.
+#: Seed of the committed fixtures.  Changing it (or anything a scenario
+#: touches) invalidates every ``tests/golden/*.trace.jsonl``.
 GOLDEN_SEED = 7
 GOLDEN_NSID = 1
 GOLDEN_NUM_LBAS = 1024
@@ -46,62 +58,46 @@ def _lbas_for_rows(controller, dram, rows: Sequence[int], bank: int = 0) -> List
     return out
 
 
-def run_golden_scenario(tracer_path=None, max_events: int = 200_000) -> Tracer:
-    """Run the scenario; returns the (closed) tracer.
+def _stack_golden(tracer: Tracer, hammer: Callable) -> None:
+    """The setup and close both stack goldens share, around ``hammer``.
 
-    With ``tracer_path=None`` the events stay in memory
-    (``tracer.events`` / ``tracer.to_jsonl()``); a path streams them to
-    that JSONL file instead.
+    A seeded FRAGILE stack gets four host writes (FTL allocation, flash
+    programs, L2P update traffic) and one mapped read; ``hammer(controller,
+    aggressors)`` then hammers two LBAs whose L2P entries sit in rows 0
+    and 2 of bank 0 — row 1 is the doubly disturbed victim.
     """
     from repro.testkit.fixtures import FRAGILE, build_stack
 
-    clock = SimClock()
-    tracer = Tracer(clock, path=tracer_path, max_events=max_events)
     controller, dram, ftl = build_stack(
         profile=FRAGILE,
         seed=GOLDEN_SEED,
         num_lbas=GOLDEN_NUM_LBAS,
-        clock=clock,
+        clock=tracer.clock,
         tracer=tracer,
     )
     controller.create_namespace(GOLDEN_NSID, 0, GOLDEN_NUM_LBAS)
     page = ftl.page_bytes
-
-    # Host writes: FTL allocation, flash programs, L2P update traffic.
     for lba in range(4):
         controller.write(GOLDEN_NSID, lba, bytes([lba + 1]) * page)
-    # A mapped read (flash), an unmapped read (DRAM-only fast path).
     controller.read(GOLDEN_NSID, 0)
-    controller.read(GOLDEN_NSID, 64)
-    # A trim, so the deallocate path is in the fixture too.
-    controller.trim(GOLDEN_NSID, 3)
-
-    # Double-sided hammer: two unmapped LBAs whose L2P entries sit in
-    # rows 0 and 2 of bank 0 — row 1 is the doubly disturbed victim.
-    aggressors = _lbas_for_rows(controller, dram, (0, 2))
-    controller.read_burst(GOLDEN_NSID, aggressors, repeats=GOLDEN_REPEATS)
-
+    hammer(controller, _lbas_for_rows(controller, dram, (0, 2)))
     # One post-hammer scalar read: rolls the refresh epoch on the exact
     # path, emitting dram.refresh.
     controller.read(GOLDEN_NSID, 1)
-
-    tracer.close(
-        metrics=merge_snapshots(
-            dram.metrics, ftl.metrics, controller.metrics, ftl.flash.metrics
-        )
-    )
-    return tracer
+    tracer.close(metrics=controller.stack_snapshot())
 
 
-def emit_golden(path: str) -> int:
-    """Stream the golden trace to ``path``; returns events written."""
-    tracer = run_golden_scenario(tracer_path=path)
-    return tracer.emitted
+def _hammer_by_burst(controller, aggressors: List[int]) -> None:
+    # An unmapped read (DRAM-only fast path) and a trim, so the
+    # deallocate path is in the fixture too.
+    controller.read(GOLDEN_NSID, 64)
+    controller.trim(GOLDEN_NSID, 3)
+    controller.read_burst(GOLDEN_NSID, aggressors, repeats=GOLDEN_REPEATS)
 
 
 #: Source text of the golden payload program: the same double-sided
-#: pattern as the classic scenario, expressed in the DSL with
-#: placeholders resolved against the live layout.
+#: pattern as the burst, expressed in the DSL with placeholders resolved
+#: against the live layout.
 PAYLOAD_GOLDEN_SOURCE = """\
 # golden payload: double-sided hammer through the stack
 name golden_double_sided
@@ -115,14 +111,7 @@ loop %d {
 """ % GOLDEN_REPEATS
 
 
-def run_payload_golden_scenario(tracer_path=None, max_events: int = 200_000):
-    """The payload-DSL twin of :func:`run_golden_scenario`.
-
-    Runs the full parse -> resolve -> compile -> execute pipeline on the
-    same seeded FRAGILE stack, with ``payload.*`` events ON, so the
-    committed fixture pins the executor's trace surface as well as the
-    physics.  Pure function of :data:`GOLDEN_SEED`.
-    """
+def _hammer_by_payload(controller, aggressors: List[int]) -> None:
     from repro.host.blockdev import BlockDevice
     from repro.host.vm import AccessMode, Vm
     from repro.payload import (
@@ -131,47 +120,13 @@ def run_payload_golden_scenario(tracer_path=None, max_events: int = 200_000):
         parse_program,
         resolve_program,
     )
-    from repro.testkit.fixtures import FRAGILE, build_stack
 
-    clock = SimClock()
-    tracer = Tracer(clock, path=tracer_path, max_events=max_events)
-    controller, dram, ftl = build_stack(
-        profile=FRAGILE,
-        seed=GOLDEN_SEED,
-        num_lbas=GOLDEN_NUM_LBAS,
-        clock=clock,
-        tracer=tracer,
-    )
-    controller.create_namespace(GOLDEN_NSID, 0, GOLDEN_NUM_LBAS)
-    page = ftl.page_bytes
-    for lba in range(4):
-        controller.write(GOLDEN_NSID, lba, bytes([lba + 1]) * page)
-    controller.read(GOLDEN_NSID, 0)
-
-    aggressors = _lbas_for_rows(controller, dram, (0, 2))
-    vm = Vm(
-        "attacker", BlockDevice(controller, GOLDEN_NSID), AccessMode.RAW
-    )
-    program = parse_program(PAYLOAD_GOLDEN_SOURCE)
+    vm = Vm("attacker", BlockDevice(controller, GOLDEN_NSID), AccessMode.RAW)
     resolved = resolve_program(
-        program, {"agg_left": aggressors[0], "agg_right": aggressors[1]}
+        parse_program(PAYLOAD_GOLDEN_SOURCE),
+        {"agg_left": aggressors[0], "agg_right": aggressors[1]},
     )
-    compiled = compile_program(resolved)
-    execute_payload(compiled, vm=vm, trace_payload=True)
-
-    controller.read(GOLDEN_NSID, 1)
-    tracer.close(
-        metrics=merge_snapshots(
-            dram.metrics, ftl.metrics, controller.metrics, ftl.flash.metrics
-        )
-    )
-    return tracer
-
-
-def emit_payload_golden(path: str) -> int:
-    """Stream the payload golden trace to ``path``; returns events written."""
-    tracer = run_payload_golden_scenario(tracer_path=path)
-    return tracer.emitted
+    execute_payload(compile_program(resolved), vm=vm, trace_payload=True)
 
 
 #: The TRR configuration the golden U-TRR inference run reverse-engineers
@@ -184,28 +139,32 @@ UTRR_GOLDEN_TRR = {
 }
 
 
-def run_utrr_golden_scenario(tracer_path=None, max_events: int = 200_000):
-    """The U-TRR golden: a full inference run against a known sampler.
+def _utrr_golden(tracer: Tracer) -> None:
+    from repro.utrr import run_inference
 
-    Runs the probe battery (:class:`repro.utrr.UtrrPipeline`) against a
-    FRAGILE target guarded by :data:`UTRR_GOLDEN_TRR`, tracing every
-    ``utrr.*`` stage/probe/report event plus the underlying ``dram.*``
-    activity.  Pure function of :data:`GOLDEN_SEED`; returns
-    ``(tracer, report)``.
+    run_inference(UTRR_GOLDEN_TRR, seed=GOLDEN_SEED, tracer=tracer)
+
+
+#: Fixture name -> the scenario that writes it into a fresh tracer.
+GOLDENS: Dict[str, Callable[[Tracer], None]] = {
+    "double_sided_hammer": partial(_stack_golden, hammer=_hammer_by_burst),
+    "payload_double_sided": partial(_stack_golden, hammer=_hammer_by_payload),
+    "utrr_infer": _utrr_golden,
+}
+
+
+def run_golden(name: str, path: Optional[str] = None) -> Tracer:
+    """Run golden scenario ``name``; returns its (closed) tracer.
+
+    With ``path=None`` the events stay in memory (``tracer.events`` /
+    ``tracer.to_jsonl()``); a path streams them to that JSONL file.
     """
-    from repro.utrr import UtrrPipeline, build_utrr_target
-
-    clock = SimClock()
-    tracer = Tracer(clock, path=tracer_path, max_events=max_events)
-    dram = build_utrr_target(
-        UTRR_GOLDEN_TRR, seed=GOLDEN_SEED, clock=clock, tracer=tracer
-    )
-    report = UtrrPipeline(dram, tracer=tracer).infer()
-    tracer.close(metrics=merge_snapshots(dram.metrics))
-    return tracer, report
+    scenario = GOLDENS[name]
+    tracer = Tracer(SimClock(), path=path, max_events=200_000)
+    scenario(tracer)
+    return tracer
 
 
-def emit_utrr_golden(path: str) -> int:
-    """Stream the U-TRR golden trace to ``path``; returns events written."""
-    tracer, _report = run_utrr_golden_scenario(tracer_path=path)
-    return tracer.emitted
+def emit_golden(name: str, path: str) -> int:
+    """Stream golden trace ``name`` to ``path``; returns events written."""
+    return run_golden(name, path).emitted

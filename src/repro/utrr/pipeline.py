@@ -360,3 +360,29 @@ def build_utrr_target(
         trr=trr_from_config(config),
         tracer=tracer,
     )
+
+
+def run_inference(
+    trr_config: Optional[Dict[str, Any]],
+    *,
+    seed: int = 0,
+    tracer=None,
+    trace_path: Optional[str] = None,
+    max_capacity: int = 12,
+    cycles: int = 512,
+) -> InferenceReport:
+    """Build the standard target, attach a tracer (a pre-built ``tracer``
+    or one streaming to ``trace_path``), infer, and close the trace with
+    the module's metrics: the one way every caller runs inference."""
+    clock = SimClock() if tracer is None else tracer.clock
+    if tracer is None and trace_path is not None:
+        from repro.trace import Tracer
+
+        tracer = Tracer(clock, path=trace_path)
+    dram = build_utrr_target(trr_config, seed=seed, clock=clock, tracer=tracer)
+    report = UtrrPipeline(
+        dram, tracer=tracer, max_capacity=max_capacity, cycles=cycles
+    ).infer()
+    if tracer is not None:
+        tracer.close(metrics=dram.metrics.snapshot())
+    return report

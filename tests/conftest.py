@@ -3,6 +3,8 @@
 The profiles and the stack builder live in :mod:`repro.testkit.fixtures`
 so examples and the workload fuzzer share them; this module re-exports
 them for the test suite (existing tests import from ``tests.conftest``).
+It also registers the ``sleep`` / ``flaky`` scheduler soak kinds, which
+the production trial registry does not ship.
 """
 
 import pytest
@@ -14,6 +16,9 @@ from repro.testkit.fixtures import (  # noqa: F401  (re-exported fixtures)
     SMALL_FLASH,
     build_stack,
 )
+from repro.testkit.soak import register_soak_kinds
+
+register_soak_kinds()
 
 
 @pytest.fixture

@@ -289,9 +289,16 @@ class TestTraceCommand:
 
     def test_emit_golden_matches_fixture(self, tmp_path, capsys):
         regen = tmp_path / "regen.jsonl"
-        assert main(["trace", "--emit-golden", str(regen)]) == 0
+        assert main(["trace", "--emit-golden", "double_sided_hammer",
+                     str(regen)]) == 0
         assert regen.read_bytes() == open(self.FIXTURE, "rb").read()
-        capsys.readouterr()
+        assert "golden trace double_sided_hammer" in capsys.readouterr().out
+
+    def test_emit_golden_rejects_unknown_name(self, tmp_path, capsys):
+        regen = tmp_path / "regen.jsonl"
+        assert main(["trace", "--emit-golden", "bogus", str(regen)]) == 2
+        assert "unknown golden" in capsys.readouterr().out
+        assert not regen.exists()
 
     def test_no_file_is_an_error(self, capsys):
         assert main(["trace"]) == 2
@@ -636,7 +643,7 @@ class TestUtrrCommand:
         import os
 
         regen = tmp_path / "utrr.jsonl"
-        assert main(["trace", "--emit-utrr-golden", str(regen)]) == 0
+        assert main(["trace", "--emit-golden", "utrr_infer", str(regen)]) == 0
         fixture = os.path.join(
             os.path.dirname(__file__), "golden", "utrr_infer.trace.jsonl"
         )

@@ -269,9 +269,32 @@ class TestRetryAndTimeout:
 
 class TestRegistry:
     def test_builtin_kinds_registered(self):
+        from repro.engine.runner import _REGISTRY
+
         kinds = trial_kinds()
-        for kind in ("monte_carlo", "mitigation", "sleep", "flaky"):
+        for kind in ("monte_carlo", "mitigation", "serve", "serve_chaos"):
             assert kind in kinds
+        assert _REGISTRY["serve_chaos"] is _REGISTRY["serve"]
+
+    def test_soak_kinds_stay_out_of_the_production_registry(self):
+        """``sleep`` / ``flaky`` come from the test suite's conftest, not
+        from importing the package."""
+        import subprocess
+        import sys
+
+        import repro
+
+        code = (
+            "import repro; from repro.engine.runner import trial_kinds; "
+            "print(sorted(set(trial_kinds()) & {'sleep', 'flaky'}))"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        out = subprocess.run(
+            [sys.executable, "-c", code], check=True, capture_output=True,
+            text=True, env=dict(os.environ, PYTHONPATH=src),
+        ).stdout
+        assert out.strip() == "[]"
+        assert {"sleep", "flaky"} <= set(trial_kinds())
 
     def test_unknown_kind_rejected(self):
         spec = SweepSpec(name="x", kind="does-not-exist", seed=1)

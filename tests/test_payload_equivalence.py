@@ -28,7 +28,6 @@ from repro.attack.profile import DeviceProfile
 from repro.attack.recon import find_cross_partition_triples
 from repro.payload import compile_program, execute_payload, program_from_plan
 from repro.scenarios import build_cloud_testbed
-from repro.sim import merge_snapshots
 
 SHAPES = ("double_sided", "single_sided", "many_sided", "one_location")
 
@@ -69,12 +68,7 @@ def _plan_for(shape, testbed, triples):
 
 
 def _finish(testbed):
-    snapshot = merge_snapshots(
-        testbed.dram.metrics,
-        testbed.ftl.metrics,
-        testbed.controller.metrics,
-        testbed.ftl.flash.metrics,
-    )
+    snapshot = testbed.controller.stack_snapshot()
     testbed.tracer.close(metrics=snapshot)
     return snapshot
 

@@ -14,22 +14,19 @@ import pytest
 from repro.dram import DramAddress, Para, TargetRowRefresh
 from repro.errors import NvmeError
 from repro.faults import FaultPlan
-from repro.sim import SimClock, merge_snapshots
+from repro.sim import SimClock
 from repro.trace import (
     EVENT_SCHEMAS,
+    GOLDENS,
     TRACE_VERSION,
     UTRR_GOLDEN_TRR,
     Tracer,
     conservation_errors,
     diff_summaries,
     emit_golden,
-    emit_payload_golden,
-    emit_utrr_golden,
     encode_event,
     load_trace,
-    run_golden_scenario,
-    run_payload_golden_scenario,
-    run_utrr_golden_scenario,
+    run_golden,
     summarize,
     to_chrome,
     validate_event,
@@ -38,17 +35,14 @@ from repro.trace import (
 )
 from repro.testkit.fixtures import FRAGILE, build_stack
 
-GOLDEN_FIXTURE = os.path.join(
-    os.path.dirname(__file__), "golden", "double_sided_hammer.trace.jsonl"
-)
+def golden_fixture(name):
+    """The committed fixture of golden trace ``name``."""
+    return os.path.join(os.path.dirname(__file__), "golden", name + ".trace.jsonl")
 
-PAYLOAD_GOLDEN_FIXTURE = os.path.join(
-    os.path.dirname(__file__), "golden", "payload_double_sided.trace.jsonl"
-)
 
-UTRR_GOLDEN_FIXTURE = os.path.join(
-    os.path.dirname(__file__), "golden", "utrr_infer.trace.jsonl"
-)
+GOLDEN_FIXTURE = golden_fixture("double_sided_hammer")
+PAYLOAD_GOLDEN_FIXTURE = golden_fixture("payload_double_sided")
+UTRR_GOLDEN_FIXTURE = golden_fixture("utrr_infer")
 
 
 def _traced_stack(**kwargs):
@@ -59,11 +53,7 @@ def _traced_stack(**kwargs):
 
 
 def _close(controller, dram, ftl, tracer):
-    tracer.close(
-        metrics=merge_snapshots(
-            dram.metrics, ftl.metrics, controller.metrics, ftl.flash.metrics
-        )
-    )
+    tracer.close(metrics=controller.stack_snapshot())
     return tracer.events
 
 
@@ -223,20 +213,19 @@ class TestSchema:
 
 @pytest.fixture(scope="module")
 def golden_events():
-    return run_golden_scenario().events
+    return run_golden("double_sided_hammer").events
 
 
 @pytest.fixture(scope="module")
 def payload_events():
     """The compiled-DSL golden run, payload.* events ON."""
-    return run_payload_golden_scenario().events
+    return run_golden("payload_double_sided").events
 
 
 @pytest.fixture(scope="module")
 def utrr_events():
     """The U-TRR inference golden run, utrr.* events ON."""
-    tracer, _report = run_utrr_golden_scenario()
-    return tracer.events
+    return run_golden("utrr_infer").events
 
 
 @pytest.fixture(scope="module")
@@ -346,14 +335,7 @@ def attack_events(tmp_path_factory):
         AttackConfig(max_cycles=1, spray_files=16, hammer_seconds=10.0),
     )
     attack.run()
-    testbed.tracer.close(
-        metrics=merge_snapshots(
-            testbed.dram.metrics,
-            testbed.ftl.metrics,
-            testbed.controller.metrics,
-            testbed.ftl.flash.metrics,
-        )
-    )
+    testbed.tracer.close(metrics=testbed.controller.stack_snapshot())
     return load_trace(path)
 
 
@@ -432,19 +414,25 @@ class TestSchemaCoverage:
 # ---------------------------------------------------------------------------
 
 
-class TestGoldenTrace:
-    def test_fixture_matches_regenerated_bytes(self, tmp_path):
+@pytest.mark.parametrize("name", sorted(GOLDENS))
+class TestGoldenTable:
+    """Every golden in the table, pinned byte for byte by its committed
+    ``tests/golden/<name>.trace.jsonl`` fixture."""
+
+    def test_fixture_matches_regenerated_bytes(self, name, tmp_path):
         """The committed fixture is byte-identical to a fresh emission —
         any change to clocking, event fields, or encoding shows up here."""
         path = str(tmp_path / "regen.jsonl")
-        emit_golden(path)
-        with open(path, "rb") as fresh, open(GOLDEN_FIXTURE, "rb") as pinned:
-            assert fresh.read() == pinned.read()
+        emit_golden(name, path)
+        with open(path, "rb") as fresh:
+            with open(golden_fixture(name), "rb") as pinned:
+                assert fresh.read() == pinned.read()
 
-    def test_fixture_validates(self):
-        events = load_trace(GOLDEN_FIXTURE)
-        assert validate_events(events) == []
+    def test_fixture_validates(self, name):
+        assert validate_events(load_trace(golden_fixture(name))) == []
 
+
+class TestGoldenTrace:
     def test_fixture_conserves_activations(self):
         summary = summarize(load_trace(GOLDEN_FIXTURE))
         assert conservation_errors(summary) == []
@@ -459,8 +447,8 @@ class TestGoldenTrace:
 
     def test_memory_and_streaming_modes_agree(self, tmp_path):
         path = str(tmp_path / "stream.jsonl")
-        in_memory = run_golden_scenario()
-        emit_golden(path)
+        in_memory = run_golden("double_sided_hammer")
+        emit_golden("double_sided_hammer", path)
         with open(path, "r", encoding="utf-8") as handle:
             assert handle.read() == in_memory.to_jsonl()
 
@@ -468,17 +456,6 @@ class TestGoldenTrace:
 class TestPayloadGolden:
     """The compiled-DSL twin of the golden scenario, with payload.*
     events on, pinned byte-for-byte by its own committed fixture."""
-
-    def test_fixture_matches_regenerated_bytes(self, tmp_path):
-        path = str(tmp_path / "regen.jsonl")
-        emit_payload_golden(path)
-        with open(path, "rb") as fresh:
-            with open(PAYLOAD_GOLDEN_FIXTURE, "rb") as pinned:
-                assert fresh.read() == pinned.read()
-
-    def test_fixture_validates(self):
-        events = load_trace(PAYLOAD_GOLDEN_FIXTURE)
-        assert validate_events(events) == []
 
     def test_fixture_conserves_activations(self):
         summary = summarize(load_trace(PAYLOAD_GOLDEN_FIXTURE))
@@ -528,17 +505,6 @@ class TestPayloadGolden:
 class TestUtrrGolden:
     """The U-TRR inference battery against the fragile target, pinned
     byte-for-byte by its own committed fixture."""
-
-    def test_fixture_matches_regenerated_bytes(self, tmp_path):
-        path = str(tmp_path / "regen.jsonl")
-        emit_utrr_golden(path)
-        with open(path, "rb") as fresh:
-            with open(UTRR_GOLDEN_FIXTURE, "rb") as pinned:
-                assert fresh.read() == pinned.read()
-
-    def test_fixture_validates(self):
-        events = load_trace(UTRR_GOLDEN_FIXTURE)
-        assert validate_events(events) == []
 
     def test_report_event_recovers_the_golden_config(self):
         events = load_trace(UTRR_GOLDEN_FIXTURE)

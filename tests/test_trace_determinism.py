@@ -8,12 +8,20 @@ draws randomness, so these hold exactly, not approximately.
 
 import os
 
+import pytest
+
 from repro.engine import EngineConfig, SweepEngine
 from repro.engine.spec import SweepSpec
-from repro.sim import SimClock, merge_snapshots
+from repro.sim import SimClock
 from repro.testkit.fixtures import FRAGILE, build_stack
 from repro.testkit.fuzzer import run_campaign
-from repro.trace import Tracer
+from repro.trace import (
+    Tracer,
+    conservation_errors,
+    load_trace,
+    summarize,
+    validate_events,
+)
 
 
 def _lbas_for_rows(controller, dram, rows, bank=0):
@@ -43,9 +51,7 @@ def _hammer(traced):
     aggressors = _lbas_for_rows(controller, dram, (0, 2))
     controller.read_burst(1, aggressors, repeats=150_000)
     controller.read(1, 0)
-    snapshot = merge_snapshots(
-        dram.metrics, ftl.metrics, controller.metrics, ftl.flash.metrics
-    )
+    snapshot = controller.stack_snapshot()
     if tracer is not None:
         tracer.close(metrics=snapshot)
     return dram, clock, snapshot
@@ -101,9 +107,7 @@ def _payload_hammer(traced):
         compile_program(program), vm=vm, trace_payload=traced
     )
     controller.read(1, 0)
-    snapshot = merge_snapshots(
-        dram.metrics, ftl.metrics, controller.metrics, ftl.flash.metrics
-    )
+    snapshot = controller.stack_snapshot()
     if tracer is not None:
         tracer.close(metrics=snapshot)
     return dram, clock, snapshot, result
@@ -200,6 +204,59 @@ class TestSweepDeterminism:
             "0000.01.batch.jsonl",
             "0000.01.scalar.jsonl",
         ]
+
+    #: Further trace-capable kinds: a two-point serve grid (QoS cap and a
+    #: fault axis) and a two-point payload grid.
+    TRACED_SPECS = {
+        "serve": {
+            "name": "trace-determinism-serve",
+            "kind": "serve",
+            "seed": 5,
+            "base": {
+                "scenario": {
+                    "name": "tiny",
+                    "seed": 3,
+                    "device": {"num_lbas": 1024, "profile": "tempered"},
+                    "tenants": [
+                        {"name": "attacker", "kind": "hammer_attacker",
+                         "ops": 200},
+                        {"name": "reader", "kind": "bursty_reader",
+                         "ops": 100},
+                    ],
+                },
+                "faults.read_error_rate": 0.01,
+            },
+            "grid": {"max_iops": [None, 8000]},
+        },
+        "payload": {
+            "name": "trace-determinism-payload",
+            "kind": "payload",
+            "seed": 13,
+            "base": {"seed": 13, "repeats": 20000},
+            "grid": {"template": ["double_sided", "one_location"]},
+        },
+    }
+
+    @pytest.mark.parametrize("kind", sorted(TRACED_SPECS))
+    def test_one_valid_trace_per_trial(self, kind, tmp_path):
+        """``serve`` and ``payload`` trials honour ``--trace-dir`` too: one
+        schema-valid, activation-conserving trace per trial, summary bytes
+        unchanged."""
+        trace_dir = str(tmp_path / "traces")
+        spec = SweepSpec.from_dict(self.TRACED_SPECS[kind])
+        plain = SweepEngine(spec, config=EngineConfig()).run()
+        traced = SweepEngine(
+            spec, config=EngineConfig(trace_dir=trace_dir)
+        ).run()
+        assert plain.ok
+        assert plain.summary_json() == traced.summary_json()
+        names = sorted(os.listdir(trace_dir))
+        assert names == ["0000.00.trace.jsonl", "0001.00.trace.jsonl"]
+        for name in names:
+            events = load_trace(os.path.join(trace_dir, name))
+            assert validate_events(events) == []
+            assert conservation_errors(summarize(events)) == []
+            assert events[-1]["name"] == "trace.metrics"
 
 
 class TestUtrrDeterminism:
