@@ -146,31 +146,6 @@ class Bank:
         array = self._data(row, allocate=True)
         array[column : column + length] = data
 
-    # -- batched storage (the vectorized I/O engine) -------------------------
-
-    def read_gather(self, row: int, columns: np.ndarray, length: int) -> np.ndarray:
-        """Read ``length`` bytes starting at each of ``columns`` in one row.
-
-        Returns a ``(len(columns), length)`` uint8 matrix.  Every span must
-        lie inside the row; the caller (DramModule.read_batch) guarantees
-        that.  Unwritten rows read as zeros, like :meth:`read`.
-        """
-        array = self._data(row, allocate=False)
-        if array is None:
-            return np.zeros((len(columns), length), dtype=np.uint8)
-        return array[np.asarray(columns)[:, None] + np.arange(length)]
-
-    def write_scatter(self, row: int, columns: np.ndarray, data: np.ndarray) -> None:
-        """Write ``data[i]`` at ``columns[i]``; the inverse of
-        :meth:`read_gather`.  ``data`` is ``(len(columns), length)`` uint8.
-
-        Overlapping spans follow numpy fancy-assignment semantics (last
-        writer wins per byte), matching a sequential scalar write loop.
-        """
-        length = data.shape[1]
-        array = self._data(row, allocate=True)
-        array[np.asarray(columns)[:, None] + np.arange(length)] = data
-
     # -- disturbance application ---------------------------------------------
 
     def flip_bit(self, row: int, byte_offset: int, bit: int, flips_to: int) -> Optional[Tuple[int, int]]:

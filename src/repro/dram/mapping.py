@@ -27,8 +27,6 @@ from __future__ import annotations
 
 from typing import Tuple
 
-import numpy as np
-
 from repro.dram.address import DramAddress
 from repro.dram.geometry import DramGeometry
 from repro.errors import DramAddressError
@@ -72,33 +70,6 @@ class AddressMapping:
         """Inverse of :meth:`locate`."""
         raise NotImplementedError
 
-    def locate_many(
-        self, phys_addrs: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized :meth:`locate`: ``addrs -> (banks, rows, columns)``.
-
-        The generic fallback loops; the concrete mappings override it with
-        pure numpy bit arithmetic (this is the gather the batch I/O engine
-        rides on).
-        """
-        banks = np.empty(len(phys_addrs), dtype=np.int64)
-        rows = np.empty(len(phys_addrs), dtype=np.int64)
-        columns = np.empty(len(phys_addrs), dtype=np.int64)
-        for i, addr in enumerate(phys_addrs):
-            coords = self.locate(int(addr))
-            banks[i] = coords.bank
-            rows[i] = coords.row
-            columns[i] = coords.column
-        return banks, rows, columns
-
-    def _check_addrs_array(self, phys_addrs: np.ndarray) -> None:
-        if len(phys_addrs) and (
-            int(phys_addrs.min()) < 0 or int(phys_addrs.max()) >= self._capacity
-        ):
-            raise DramAddressError(
-                "physical address batch exceeds module of %d bytes" % self._capacity
-            )
-
     def _check_addr(self, phys_addr: int) -> None:
         if not 0 <= phys_addr < self._capacity:
             raise DramAddressError(
@@ -132,13 +103,6 @@ class SequentialMapping(AddressMapping):
         rest = phys_addr >> self._col_bits
         return rest >> self._row_bits, rest & self._row_mask, phys_addr & self._col_mask
 
-    def locate_many(self, phys_addrs):
-        phys_addrs = np.asarray(phys_addrs, dtype=np.int64)
-        self._check_addrs_array(phys_addrs)
-        columns = phys_addrs & self._col_mask
-        rest = phys_addrs >> self._col_bits
-        return rest >> self._row_bits, rest & self._row_mask, columns
-
     def address_of(self, coords: DramAddress) -> int:
         coords.validate(self.geometry)
         geometry = self.geometry
@@ -159,13 +123,6 @@ class BankInterleavedMapping(AddressMapping):
         self._check_addr(phys_addr)
         rest = phys_addr >> self._col_bits
         return rest & self._bank_mask, rest >> self._bank_bits, phys_addr & self._col_mask
-
-    def locate_many(self, phys_addrs):
-        phys_addrs = np.asarray(phys_addrs, dtype=np.int64)
-        self._check_addrs_array(phys_addrs)
-        columns = phys_addrs & self._col_mask
-        rest = phys_addrs >> self._col_bits
-        return rest & self._bank_mask, rest >> self._bank_bits, columns
 
     def address_of(self, coords: DramAddress) -> int:
         coords.validate(self.geometry)
@@ -236,24 +193,6 @@ class XorBankMapping(AddressMapping):
         row = self._field_to_row(row_field)
         bank = bank_field ^ (row_field & self._bank_mask)
         return bank, row, column
-
-    def locate_many(self, phys_addrs):
-        phys_addrs = np.asarray(phys_addrs, dtype=np.int64)
-        self._check_addrs_array(phys_addrs)
-        columns = phys_addrs & self._col_mask
-        rest = phys_addrs >> self._col_bits
-        bank_fields = rest & self._bank_mask
-        row_fields = rest >> self._bank_bits
-        bits = self._row_bits
-        if bits <= 1:
-            rows = row_fields
-        else:
-            msb = (row_fields >> (bits - 1)) & 1
-            rows = ((row_fields << 1) & self._row_mask) | msb
-            if bits > 2:
-                rows = rows ^ ((rows >> 2) & 1)
-        banks = bank_fields ^ (row_fields & self._bank_mask)
-        return banks, rows, columns
 
     def address_of(self, coords: DramAddress) -> int:
         coords.validate(self.geometry)

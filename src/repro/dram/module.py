@@ -13,20 +13,20 @@ judged by one evaluator, :meth:`DramModule._evaluate_victim`:
 
 * the **ordered stream** (:meth:`DramModule._stream`) runs ACTs one at a
   time through window rollover, counters, TRR, PARA and the neighbours'
-  victim checks.  Reads, writes, :meth:`~DramModule.activate` and small
-  batches are its memory-access case, row buffer included;
-  :meth:`~DramModule.activate_burst` and batches under order-sensitive TRR
-  are its explicit-ACT case; and
+  victim checks.  Every memory access is its case, row buffer included:
+  reads, writes, read/write batches and :meth:`~DramModule.activate`.
+  :meth:`~DramModule.activate_burst`, and :meth:`~DramModule.access_batch`
+  under order-sensitive TRR, are its explicit-ACT case; and
 * the **window histogram** (:meth:`DramModule._add_window`, then
   :meth:`DramModule._evaluate_victims`) adds one refresh window's
   ``bank -> row -> count`` histogram and evaluates each victim once with
   the final counts.  :meth:`~DramModule.hammer` applies it once per window
   of a campaign (pattern x rate x duration), so two simulated hours of
   multi-million-IOPS hammering cost milliseconds of host time;
-  :meth:`~DramModule.access_batch` and large read/write batches apply it
-  once.  Where a histogram stands in for per-ACT sampling, TRR is modelled
-  by its disturbance cap (or fully evaded when the pattern thrashes the
-  sampler) and PARA by a drawn number of mid-window victim refreshes.
+  :meth:`~DramModule.access_batch` applies it once.  Where a histogram
+  stands in for per-ACT sampling, TRR is modelled by its disturbance cap
+  (or fully evaded when the pattern thrashes the sampler) and PARA by a
+  drawn number of mid-window victim refreshes.
 
 Flips are idempotent and monotone in the counts, so with no randomized
 mitigation active both primitives flip the same cells; property tests
@@ -593,14 +593,6 @@ class DramModule:
                 if sampled or threshold != _INF:
                     self._evaluate_victim(bank, victim, threshold, capped, result)
 
-    def _apply_batch(self, histogram: Histogram) -> None:
-        """Apply one batch's histogram to the current refresh window."""
-        total = self._add_window(self.clock.epoch(self.refresh_interval), histogram)
-        self._activations.value += total
-        if total and self.tracer is not None:
-            self.tracer.emit("dram.activate", count=total)
-        self._evaluate_victims(self._victims(histogram))
-
     def hammer(
         self,
         pattern: Sequence[Tuple[int, int]],
@@ -755,15 +747,6 @@ class DramModule:
     # batch access paths
     # ------------------------------------------------------------------
 
-    #: Below this batch size a plain Python gather loop beats numpy setup.
-    _GROUP_MIN = 64
-
-    def _batch_needs_exact_path(self) -> bool:
-        """Whether read/write batches must fall back to scalar accesses:
-        ECC decodes word-by-word, and TRR/PARA sample every activation in
-        order, which a histogram cannot replay."""
-        return self.ecc_enabled or self.trr is not None or self.para is not None
-
     def access_batch(self, activations: Sequence[Tuple[int, int, int]]) -> List[FlipEvent]:
         """Apply a coalesced ``(bank, row, count)`` activation histogram.
 
@@ -794,98 +777,64 @@ class DramModule:
             histogram: Histogram = {}
             for (bank_idx, row), n in counts.items():
                 histogram.setdefault(bank_idx, {})[row] = n
-            self._apply_batch(histogram)
+            total = self._add_window(
+                self.clock.epoch(self.refresh_interval), histogram
+            )
+            self._activations.value += total
+            if self.tracer is not None:
+                self.tracer.emit("dram.activate", count=total)
+            self._evaluate_victims(self._victims(histogram))
         return self.flips[flips_before:]
 
     def _locate_batch(self, phys_addrs: Sequence[int], length: int):
         """(banks, rows, columns) lists for a batch of equal-length spans,
         or None when any span crosses a row boundary (caller falls back).
 
-        Results are memoized per (addrs, length): callers treat the lists
-        as read-only, and hammer loops re-probe identical batches.
+        Batches of up to 8 spans are memoized per (addrs, length): callers
+        treat the lists as read-only, and hammer loops re-probe identical
+        batches.
         """
-        n = len(phys_addrs)
-        if n <= 8:
+        key = None
+        if len(phys_addrs) <= 8:
             key = (tuple(phys_addrs), length)
             cached = self._locate_cache.get(key, _MISSING)
             if cached is not _MISSING:
                 return cached
             if len(self._locate_cache) >= 4096:
                 self._locate_cache.clear()
-            located = self._locate_batch_uncached(phys_addrs, length)
+        locate3 = self.mapping.locate3
+        banks: List[int] = []
+        rows: List[int] = []
+        columns: List[int] = []
+        located = banks, rows, columns
+        limit = self._row_bytes - length
+        for addr in phys_addrs:
+            bank, row, column = locate3(int(addr))
+            if column > limit:
+                located = None
+                break
+            banks.append(bank)
+            rows.append(row)
+            columns.append(column)
+        if key is not None:
             self._locate_cache[key] = located
-            return located
-        return self._locate_batch_uncached(phys_addrs, length)
-
-    def _locate_batch_uncached(self, phys_addrs: Sequence[int], length: int):
-        n = len(phys_addrs)
-        if n < self._GROUP_MIN:
-            locate3 = self.mapping.locate3
-            banks: List[int] = []
-            rows: List[int] = []
-            columns: List[int] = []
-            limit = self._row_bytes - length
-            for addr in phys_addrs:
-                bank, row, column = locate3(int(addr))
-                if column > limit:
-                    return None
-                banks.append(bank)
-                rows.append(row)
-                columns.append(column)
-            return banks, rows, columns
-        addrs = np.asarray(phys_addrs, dtype=np.int64)
-        banks_a, rows_a, columns_a = self.mapping.locate_many(addrs)
-        if length and int(columns_a.max()) > self._row_bytes - length:
-            return None
-        return banks_a.tolist(), rows_a.tolist(), columns_a.tolist()
-
-    def _account_batch(self, banks: List[int], rows: List[int]) -> None:
-        """Activation accounting for an in-order batch of memory accesses,
-        as a loop of scalar accesses would do it: small batches run the
-        ordered stream; larger ones collapse row-buffer hits per bank and
-        apply the remaining ACTs as one histogram."""
-        if len(banks) <= 16:
-            # Tiny batch: the stream is cheaper than the dict machinery
-            # below, and it IS the reference semantics.
-            self._stream(zip(banks, rows))
-            return
-        open_page = self.row_policy == OPEN_PAGE
-        histogram: Histogram = {}
-        open_rows: Dict[int, Optional[int]] = {}
-        hits = 0
-        for bank_idx, row in zip(banks, rows):
-            counts = histogram.get(bank_idx)
-            if counts is None:
-                counts = histogram[bank_idx] = {}
-                open_rows[bank_idx] = self.banks[bank_idx].open_row
-            if open_page:
-                if open_rows[bank_idx] == row:
-                    hits += 1
-                    continue
-                open_rows[bank_idx] = row
-            counts[row] = counts.get(row, 0) + 1
-        for bank_idx, row in open_rows.items():
-            self.banks[bank_idx].open_row = row if open_page else None
-        self._row_hits.value += hits
-        self._apply_batch(histogram)
+        return located
 
     def read_batch(self, phys_addrs: Sequence[int], length: int) -> np.ndarray:
         """Read ``length`` bytes at each address; returns ``(n, length)``.
 
-        The vectorized sibling of a :meth:`read` loop with identical
-        accounting (reads counter, open-row collapse, activations, flips).
-        All of the batch's disturbance is applied *before* the data gather,
-        so returned bytes reflect every flip the batch itself caused.
-        Falls back to a :meth:`read` loop under ECC or an active TRR/PARA
-        mitigation, and for spans that cross a row boundary.
+        The batch's ACTs run through the ordered stream, so accounting is a
+        :meth:`read` loop's (reads counter, row-buffer hits, activations,
+        TRR and PARA sampling, flips).  All of the batch's disturbance is
+        applied *before* the data gather, so returned bytes reflect every
+        flip the batch itself caused.  Falls back to a :meth:`read` loop
+        under ECC and for spans that cross a row boundary.
         """
         n = len(phys_addrs)
         out = np.empty((n, length), dtype=np.uint8)
         if n == 0:
             return out
-        located = None
-        if not self._batch_needs_exact_path():
-            located = self._locate_batch(phys_addrs, length)
+        located = None if self.ecc_enabled else self._locate_batch(phys_addrs, length)
         if located is None:
             for i, addr in enumerate(phys_addrs):
                 out[i] = np.frombuffer(self.read(int(addr), length), dtype=np.uint8)
@@ -894,28 +843,14 @@ class DramModule:
         self._reads.value += n
         if self.tracer is not None:
             self.tracer.emit("dram.access", op="r", count=n, len=length)
-        self._account_batch(banks, rows)
-        if n < self._GROUP_MIN:
-            for i in range(n):
-                array = self.banks[banks[i]].data_rows.get(rows[i])
-                if array is None:
-                    out[i] = 0
-                else:
-                    column = columns[i]
-                    out[i] = array[column : column + length]
-            return out
-        banks_a = np.asarray(banks)
-        rows_a = np.asarray(rows)
-        columns_a = np.asarray(columns)
-        key = banks_a * self._rows_per_bank + rows_a
-        order = np.argsort(key, kind="stable")
-        boundaries = np.flatnonzero(np.diff(key[order])) + 1
-        for group in np.split(order, boundaries):
-            first = int(group[0])
-            gathered = self.banks[banks_a[first]].read_gather(
-                int(rows_a[first]), columns_a[group], length
-            )
-            out[group] = gathered
+        self._stream(zip(banks, rows))
+        for i in range(n):
+            array = self.banks[banks[i]].data_rows.get(rows[i])
+            if array is None:
+                out[i] = 0
+            else:
+                column = columns[i]
+                out[i] = array[column : column + length]
         return out
 
     def write_batch(self, phys_addrs: Sequence[int], data: np.ndarray) -> None:
@@ -927,7 +862,7 @@ class DramModule:
         rows it also writes sees its payload win — the same end state as
         the scalar loop for non-self-hammering batches, which is what every
         internal caller issues.  Falls back to a :meth:`write` loop under
-        ECC or TRR/PARA, and for row-crossing spans.
+        ECC and for row-crossing spans.
         """
         n = len(phys_addrs)
         if n == 0:
@@ -936,9 +871,7 @@ class DramModule:
         if data.ndim != 2 or data.shape[0] != n:
             raise DramAddressError("write_batch data must be (n, length) bytes")
         length = data.shape[1]
-        located = None
-        if not self._batch_needs_exact_path():
-            located = self._locate_batch(phys_addrs, length)
+        located = None if self.ecc_enabled else self._locate_batch(phys_addrs, length)
         if located is None:
             for i, addr in enumerate(phys_addrs):
                 self.write(int(addr), data[i].tobytes())
@@ -947,24 +880,11 @@ class DramModule:
         self._writes.value += n
         if self.tracer is not None:
             self.tracer.emit("dram.access", op="w", count=n, len=length)
-        self._account_batch(banks, rows)
-        if n < self._GROUP_MIN:
-            for i in range(n):
-                array = self.banks[banks[i]]._data(rows[i], allocate=True)
-                column = columns[i]
-                array[column : column + length] = data[i]
-            return
-        banks_a = np.asarray(banks)
-        rows_a = np.asarray(rows)
-        columns_a = np.asarray(columns)
-        key = banks_a * self._rows_per_bank + rows_a
-        order = np.argsort(key, kind="stable")
-        boundaries = np.flatnonzero(np.diff(key[order])) + 1
-        for group in np.split(order, boundaries):
-            first = int(group[0])
-            self.banks[banks_a[first]].write_scatter(
-                int(rows_a[first]), columns_a[group], data[group]
-            )
+        self._stream(zip(banks, rows))
+        for i in range(n):
+            array = self.banks[banks[i]]._data(rows[i], allocate=True)
+            column = columns[i]
+            array[column : column + length] = data[i]
 
     # ------------------------------------------------------------------
     # observability helpers

@@ -20,8 +20,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional
 
-import numpy as np
-
 from repro.dram.cache import FtlCpuCache
 from repro.errors import (
     ConfigError,
@@ -332,7 +330,7 @@ class PageMappingFtl:
             from repro.ext4.crc32c import crc32c
 
             self.dif_tags[ppa] = (crc32c(bytes(data)), lba)
-        self._invalidate_current(lba)
+        self._invalidate(lba, self.l2p.lookup(lba))
         self.l2p.update(lba, ppa)
         self.reverse[ppa] = lba
         self.valid_count[self.flash.geometry.block_of_ppa(ppa)] += 1
@@ -356,7 +354,7 @@ class PageMappingFtl:
             self.tracer.emit("ftl.trim", lba=lba)
         if self.write_buffer is not None:
             self.write_buffer.discard(lba)
-        self._invalidate_current(lba)
+        self._invalidate(lba, self.l2p.lookup(lba))
         self.l2p.clear(lba)
 
     def flush(self) -> float:
@@ -391,46 +389,28 @@ class PageMappingFtl:
         self._check_lba(lba)
         return self.l2p.lookup(lba) is not None
 
-    def is_mapped_many(self, lbas) -> np.ndarray:
-        """Vectorized :meth:`is_mapped`: one batched L2P gather instead of
-        a DRAM round-trip per LBA, with identical activation accounting."""
-        lbas = np.asarray(lbas, dtype=np.int64)
-        if len(lbas) == 0:
-            return np.zeros(0, dtype=bool)
-        return self.l2p.lookup_many(lbas) != UNMAPPED
-
-    def trim_many(self, lbas) -> None:
-        """Vectorized :meth:`trim` over a batch of LBAs.
+    def trim_many(self, lbas: List[int]) -> None:
+        """Batched :meth:`trim` over a list of LBAs.
 
         Same per-LBA effects as the scalar loop — staged pages discarded,
         previous translations invalidated, entries cleared — but the L2P
-        traffic collapses to one gather (old mappings) plus one scatter
-        (the UNMAPPED stores).
+        traffic is one :meth:`~L2pTable.lookup_many` (old mappings) plus
+        one :meth:`~L2pTable.clear_many` (the UNMAPPED stores).
         """
         self._check_live()
         self._check_writable()
-        lbas = np.asarray(lbas, dtype=np.int64)
-        n = len(lbas)
-        if n == 0:
+        if not lbas:
             return
         for lba in lbas:
-            self._check_lba(int(lba))
-        self._host_trims.add(n)
+            self._check_lba(lba)
+        self._host_trims.add(len(lbas))
         if self.tracer is not None:
-            self.tracer.emit("ftl.trim", lba=int(lbas[0]), count=n)
+            self.tracer.emit("ftl.trim", lba=lbas[0], count=len(lbas))
         if self.write_buffer is not None:
             for lba in lbas:
-                self.write_buffer.discard(int(lba))
-        total_pages = self.flash.geometry.total_pages
-        block_of_ppa = self.flash.geometry.block_of_ppa
-        old_ppas = self.l2p.lookup_many(lbas)
-        for lba, old in zip(lbas, old_ppas):
-            old = int(old)
-            if old == UNMAPPED or old >= total_pages:
-                continue
-            if self.reverse.get(old) == int(lba):
-                del self.reverse[old]
-                self.valid_count[block_of_ppa(old)] -= 1
+                self.write_buffer.discard(lba)
+        for lba, old in zip(lbas, self.l2p.lookup_many(lbas).tolist()):
+            self._invalidate(lba, None if old == UNMAPPED else old)
         self.l2p.clear_many(lbas)
 
     # ------------------------------------------------------------------
@@ -526,9 +506,9 @@ class PageMappingFtl:
         self.gc_stats.merge(total)
         return total
 
-    def _invalidate_current(self, lba: int) -> None:
-        """Drop the previous translation of ``lba``, if any."""
-        old = self.l2p.lookup(lba)
+    def _invalidate(self, lba: int, old: Optional[int]) -> None:
+        """Drop ``lba``'s previous translation ``old`` (None if unmapped)
+        from the reverse map and its block's valid count."""
         if old is None or old >= self.flash.geometry.total_pages:
             return
         if self.reverse.get(old) == lba:

@@ -130,49 +130,24 @@ class L2pTable:
         if not 0 <= lba < self.num_lbas:
             raise ConfigError("LBA %d outside table of %d" % (lba, self.num_lbas))
 
-    # -- vectorized operations (the batch I/O engine) ------------------------
-
-    def slot_of_many(self, lbas: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`slot_of` over an int64 LBA array."""
-        if len(lbas) and (int(lbas.min()) < 0 or int(lbas.max()) >= self.num_lbas):
-            raise ConfigError("LBA batch outside table of %d" % self.num_lbas)
-        return self._slots_array(lbas)
-
-    def _slots_array(self, lbas: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def entry_addresses(self, lbas: Sequence[int]) -> np.ndarray:
-        """Physical DRAM byte address of each LBA's entry, vectorized."""
-        lbas = np.asarray(lbas, dtype=np.int64)
-        return self.base_addr + ENTRY_BYTES * self.slot_of_many(lbas)
+    # -- batched operations (the trim burst's gather and scatter) -------------
 
     def lookup_many(self, lbas: Sequence[int]) -> np.ndarray:
-        """Vectorized :meth:`lookup`: a uint32 PPA per LBA, ``UNMAPPED``
+        """Batched :meth:`lookup`: a uint32 PPA per LBA, ``UNMAPPED``
         where no mapping exists.
 
-        One :meth:`FtlCpuCache.read_many` covers the whole batch — a single
-        numpy gather over the DRAM-resident table instead of N scalar
-        reads — with identical activation accounting (entries are 4-byte
-        aligned in rows whose size is a multiple of 4, so no entry ever
-        crosses a row boundary and the batch path never has to fall back
-        for alignment).
+        One :meth:`FtlCpuCache.read_many` covers the whole batch, with the
+        accounting of N scalar reads (entries are 4-byte aligned in rows
+        whose size is a multiple of 4, so no entry ever crosses a row
+        boundary and the batch never falls back for alignment).
         """
-        addrs = self.entry_addresses(lbas)
+        addrs = [self.entry_address(lba) for lba in lbas]
         raw = self.memory.read_many(addrs, ENTRY_BYTES)
         return np.ascontiguousarray(raw).view("<u4").reshape(len(addrs))
 
-    def update_many(self, lbas: Sequence[int], ppas: Sequence[int]) -> None:
-        """Vectorized :meth:`update` (one batched write)."""
-        ppas = np.asarray(ppas, dtype=np.int64)
-        if len(ppas) and (int(ppas.min()) < 0 or int(ppas.max()) >= UNMAPPED):
-            raise ConfigError("PPA batch does not fit 32-bit entries")
-        addrs = self.entry_addresses(lbas)
-        data = np.ascontiguousarray(ppas.astype("<u4")).view(np.uint8)
-        self.memory.write_many(addrs, data.reshape(len(addrs), ENTRY_BYTES))
-
     def clear_many(self, lbas: Sequence[int]) -> None:
-        """Vectorized :meth:`clear` (batch trim)."""
-        addrs = self.entry_addresses(lbas)
+        """Batched :meth:`clear` (one :meth:`FtlCpuCache.write_many`)."""
+        addrs = [self.entry_address(lba) for lba in lbas]
         data = np.full((len(addrs), ENTRY_BYTES), 0xFF, dtype=np.uint8)
         self.memory.write_many(addrs, data)
 
@@ -190,9 +165,6 @@ class LinearL2p(L2pTable):
         if not 0 <= slot < self.num_lbas:
             raise ConfigError("slot %d outside table of %d" % (slot, self.num_lbas))
         return slot
-
-    def _slots_array(self, lbas: np.ndarray) -> np.ndarray:
-        return lbas
 
 
 class HashedL2p(L2pTable):
@@ -225,8 +197,3 @@ class HashedL2p(L2pTable):
         if not 0 <= slot < self.num_lbas:
             raise ConfigError("slot %d outside table of %d" % (slot, self.num_lbas))
         return ((slot ^ self._tweak) * self._inverse_multiplier) & (self.num_lbas - 1)
-
-    def _slots_array(self, lbas: np.ndarray) -> np.ndarray:
-        # multiplier and mask both fit well inside int64, so the wrapped
-        # product is exact after masking (num_lbas is a power of two).
-        return ((lbas * self._multiplier) & (self.num_lbas - 1)) ^ self._tweak

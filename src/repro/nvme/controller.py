@@ -32,8 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.dram.cache import CacheMode
 from repro.dram.module import FlipEvent
 from repro.errors import (
@@ -46,7 +44,7 @@ from repro.errors import (
     NvmeNamespaceError,
 )
 from repro.ftl.ftl import PageMappingFtl
-from repro.ftl.l2p import ENTRY_BYTES, UNMAPPED
+from repro.ftl.l2p import ENTRY_BYTES
 from repro.nvme.commands import NvmeCommand, NvmeCompletion, Opcode, StatusCode
 from repro.nvme.namespace import Namespace
 from repro.nvme.queue import QueuePair
@@ -54,12 +52,6 @@ from repro.nvme.ratelimit import IopsRateLimiter
 from repro.sim.clock import SimClock
 from repro.sim.metrics import MetricRegistry, merge_snapshots
 from repro.units import us
-
-
-#: Below this many LBAs the scalar translation loop beats numpy setup
-#: (hammer bursts typically name a handful of aggressors; spray/trim
-#: bursts name thousands).
-_BATCH_MIN = 32
 
 
 @dataclass(frozen=True)
@@ -443,13 +435,9 @@ class NvmeController:
             # A cached plan implies the namespace check already passed, and
             # namespaces are never detached — so the hit path skips it.
             namespace = self.namespace(nsid)
-            if n_lbas >= _BATCH_MIN:
-                device_lbas = namespace.translate_many(lbas).tolist()
-                entry_addrs = self.ftl.l2p.entry_addresses(device_lbas).tolist()
-            else:
-                device_lbas = [namespace.translate(lba) for lba in lbas]
-                l2p = self.ftl.l2p
-                entry_addrs = [l2p.entry_address(lba) for lba in device_lbas]
+            device_lbas = [namespace.translate(lba) for lba in lbas]
+            l2p = self.ftl.l2p
+            entry_addrs = [l2p.entry_address(lba) for lba in device_lbas]
             # The pattern is kept in both shapes: hammer() keys its plan
             # cache on tuple(pattern) (free when it already is one) while
             # BurstResult.pattern_rows stays a list.
@@ -470,18 +458,13 @@ class NvmeController:
         # it establishes mapped-ness (cost model) and the entry->row
         # pattern, and matches the first pass a real attacker issues
         # anyway.
-        entries = self.ftl.memory.read_many(entry_addrs, ENTRY_BYTES)
-        if n_lbas < _BATCH_MIN:
-            raw = entries.tobytes()
-            unmapped_raw = b"\xff" * ENTRY_BYTES
-            mapped_count = sum(
-                1
-                for i in range(0, ENTRY_BYTES * n_lbas, ENTRY_BYTES)
-                if raw[i : i + ENTRY_BYTES] != unmapped_raw
-            )
-        else:
-            ppas = entries.view("<u4").ravel()
-            mapped_count = int(np.count_nonzero(ppas != UNMAPPED))
+        raw = self.ftl.memory.read_many(entry_addrs, ENTRY_BYTES).tobytes()
+        unmapped_raw = b"\xff" * ENTRY_BYTES
+        mapped_count = sum(
+            1
+            for i in range(0, ENTRY_BYTES * n_lbas, ENTRY_BYTES)
+            if raw[i : i + ENTRY_BYTES] != unmapped_raw
+        )
         pass_cost = (
             self._base_time * n_lbas
             + mapped_count * self._read_page_time / self._parallelism
@@ -539,27 +522,12 @@ class NvmeController:
             pattern_rows=pattern_list,
         )
 
-    def _activation_pattern(self, device_lbas: Sequence[int]) -> List[Tuple[int, int]]:
-        """(bank, row) sequence the LBAs' L2P lookups activate, with
-        consecutive row-buffer hits collapsed."""
-        l2p = self.ftl.l2p
-        return self._pattern_from_addrs(
-            [l2p.entry_address(lba) for lba in device_lbas]
-        )
-
     def _pattern_from_addrs(self, entry_addrs) -> List[Tuple[int, int]]:
-        """Activation pattern from already-computed entry addresses."""
-        dram = self.ftl.memory.dram
-        if len(entry_addrs) >= _BATCH_MIN:
-            banks, row_ids, _columns = dram.mapping.locate_many(
-                np.asarray(entry_addrs, dtype=np.int64)
-            )
-            pairs = zip(banks.tolist(), row_ids.tolist())
-        else:
-            locate3 = dram.mapping.locate3
-            pairs = (locate3(int(addr))[:2] for addr in entry_addrs)
+        """(bank, row) sequence the L2P entries at ``entry_addrs``
+        activate, with consecutive row-buffer hits collapsed."""
+        locate3 = self.ftl.memory.dram.mapping.locate3
         rows: List[Tuple[int, int]] = []
-        for key in pairs:
+        for key in (locate3(int(addr))[:2] for addr in entry_addrs):
             if rows and rows[-1] == key:
                 continue  # open-page hit, no activation
             rows.append(key)
@@ -611,10 +579,7 @@ class NvmeController:
                 "write_burst needs one payload per LBA (%d != %d)"
                 % (len(payloads), n_lbas)
             )
-        if n_lbas >= _BATCH_MIN:
-            device_lbas = namespace.translate_many(lbas).tolist()
-        else:
-            device_lbas = [namespace.translate(lba) for lba in lbas]
+        device_lbas = [namespace.translate(lba) for lba in lbas]
         if not device_lbas:
             return BurstResult(ios=0, duration=0.0, io_rate=0.0, activation_rate=0.0)
         dram = self.ftl.memory.dram
@@ -671,11 +636,8 @@ class NvmeController:
     def _trim_burst(self, nsid: int, lbas: Sequence[int]) -> BurstResult:
         namespace = self.namespace(nsid)
         n_lbas = len(lbas)
-        if n_lbas >= _BATCH_MIN:
-            device_lbas = namespace.translate_many(lbas)
-        else:
-            device_lbas = [namespace.translate(lba) for lba in lbas]
-        if not len(device_lbas):
+        device_lbas = [namespace.translate(lba) for lba in lbas]
+        if not device_lbas:
             return BurstResult(ios=0, duration=0.0, io_rate=0.0, activation_rate=0.0)
         self._commands.add(n_lbas)
         self.ftl.trim_many(device_lbas)

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.errors import NvmeNamespaceError
 
 
@@ -44,16 +42,6 @@ class Namespace:
                 % (ns_lba, self.nsid, self.num_lbas)
             )
         return self.start_lba + ns_lba
-
-    def translate_many(self, ns_lbas) -> np.ndarray:
-        """Vectorized :meth:`translate`: one range check for the batch."""
-        lbas = np.asarray(ns_lbas, dtype=np.int64)
-        if len(lbas) and (int(lbas.min()) < 0 or int(lbas.max()) >= self.num_lbas):
-            raise NvmeNamespaceError(
-                "LBA batch outside namespace %d of %d blocks"
-                % (self.nsid, self.num_lbas)
-            )
-        return self.start_lba + lbas
 
     def contains_device_lba(self, device_lba: int) -> bool:
         """Whether a device LBA belongs to this partition."""

@@ -71,6 +71,8 @@ def flip_affected_lbas(ftl, flips: Optional[Iterable] = None) -> FrozenSet[int]:
 def check_ftl(ftl, exempt_lbas: Iterable[int] = ()) -> None:
     """FTL structural invariants, read without perturbing DRAM.
 
+    * Layout bijection: ``lba_of_slot(slot_of(lba)) == lba`` for every LBA,
+      which :func:`flip_affected_lbas` relies on to name a corrupted LBA.
     * L2P <-> reverse-map agreement: every mapped, in-range entry is owned
       by exactly the LBA the reverse map names (modulo ``exempt_lbas``).
     * OOB agreement: the spare-area reference tag of every mapped page
@@ -95,8 +97,17 @@ def check_ftl(ftl, exempt_lbas: Iterable[int] = ()) -> None:
 
     per_block: Dict[int, int] = {}
     mapped_lbas: Set[int] = set()
+    l2p = ftl.l2p
     for lba in range(ftl.num_lbas):
-        ppa = ftl.l2p.peek(lba)
+        slot = l2p.slot_of(lba)
+        inverse = l2p.lba_of_slot(slot)
+        if inverse != lba:
+            _fail(
+                "ftl",
+                "LBA %d sits in L2P slot %d, whose inverse names LBA %d"
+                % (lba, slot, inverse),
+            )
+        ppa = l2p.peek(lba)
         if ppa is None:
             continue
         mapped_lbas.add(lba)

@@ -40,7 +40,7 @@ Two replay modes exercise the two implementations of the I/O paths:
   host path, including its bounded retry-with-backoff) one LBA at a
   time.
 * ``batch`` — writes go through :meth:`write_burst`, trims through
-  :meth:`trim_burst` (the vectorized engine); reads stay scalar because
+  :meth:`trim_burst` (the batched burst path); reads stay scalar because
   the batch read path (:meth:`read_burst`) is the data-less hammer fast
   path.  Hammer ops use :meth:`read_burst` in both modes.
 

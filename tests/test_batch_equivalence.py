@@ -1,14 +1,18 @@
-"""Batch-vs-scalar equivalence properties of the vectorized I/O engine.
+"""Batch-vs-scalar equivalence properties of the batch I/O entry points.
 
 The batch paths (``read_batch``/``write_batch``/``access_batch`` on the DRAM
-module, ``lookup_many``/``update_many`` on the L2P) must be *semantically
-invisible*: with no randomized mitigation active, pushing a workload through
-the batch engine and replaying the same workload access-by-access must yield
-identical flip events, identical activation accounting, and identical bytes.
-These tests pin that property on a deliberately fragile DRAM profile so that
-real flips are part of what is compared.  The same holds inside the ordered
-activation stream: a loop of scalar ``activate`` calls is the length-1 case
-of ``activate_burst``, under every TRR sampler and PARA.
+module, ``lookup_many``/``clear_many`` on the L2P, the NVMe write and trim
+bursts) must be *semantically invisible*: pushing a workload through a batch
+and replaying the same workload access-by-access must yield identical flip
+events, identical activation accounting, and identical bytes.  Read and
+write batches run their ACTs through the same ordered stream as scalar
+accesses, so this holds under TRR, PARA and ECC too; ``access_batch``
+coalesces its input into a histogram and is compared with no randomized
+mitigation active.  These tests pin that property on a deliberately fragile
+DRAM profile so that real flips are part of what is compared.  The same
+holds inside the ordered activation stream: a loop of scalar ``activate``
+calls is the length-1 case of ``activate_burst``, under every TRR sampler
+and PARA.
 
 Also here: the regression test for ``FlipEvent.in_check_region`` (it must be
 derived from the flip's byte offset, not default to False).
@@ -55,9 +59,42 @@ def make_module(seed=7, include_check_bits=False, **kwargs):
     return DramModule(GEOMETRY, vuln, clock, **kwargs)
 
 
-def make_pair(seed=7):
+#: Mitigation configurations a read/write batch must account exactly like
+#: the scalar loop.  Each call builds fresh instances: TRR and PARA hold
+#: per-module state.
+MITIGATIONS = {
+    None: lambda: {},
+    "trr": lambda: {
+        "trr": TargetRowRefresh(tracker_capacity=2, refresh_threshold=100)
+    },
+    "para": lambda: {"para": Para(probability=0.01, seed=3)},
+    "ecc": lambda: {"ecc": True},
+}
+
+
+def make_pair(seed=7, mitigation=None):
     """Two independent but identically seeded modules (no shared state)."""
-    return make_module(seed=seed), make_module(seed=seed)
+    return tuple(
+        make_module(seed=seed, **MITIGATIONS[mitigation]()) for _ in range(2)
+    )
+
+
+#: The batch sizes compared with the scalar loop, each with no mitigation;
+#: the largest also under every mitigation.  From 40 up the workload flips
+#: victims.
+BATCH_CASES = [pytest.param(n, None, id=str(n)) for n in (6, 40, 120)] + [
+    pytest.param(120, name, id="120-" + name) for name in ("trr", "para", "ecc")
+]
+
+
+def assert_mitigation_matches(scalar, batch, mitigation):
+    """Under TRR or PARA, both modules issued the same targeted refreshes,
+    and at least one."""
+    if mitigation in ("trr", "para"):
+        scalar_refreshes, batch_refreshes = (
+            getattr(dram, mitigation).refreshes_issued for dram in (scalar, batch)
+        )
+        assert scalar_refreshes == batch_refreshes > 0
 
 
 def addr_of(dram, bank, row, column=0):
@@ -116,11 +153,9 @@ def counters(dram):
 
 
 class TestReadBatchEquivalence:
-    # 6 stays under the exact-loop threshold, 30 exercises the dict-based
-    # accounting, 120 additionally takes the numpy gather path.
-    @pytest.mark.parametrize("accesses", [6, 40, 120])
-    def test_mixed_reads_match_scalar_loop(self, accesses):
-        scalar, batch = make_pair()
+    @pytest.mark.parametrize("accesses, mitigation", BATCH_CASES)
+    def test_mixed_reads_match_scalar_loop(self, accesses, mitigation):
+        scalar, batch = make_pair(mitigation=mitigation)
         for dram in (scalar, batch):
             prime_rows(dram, [(0, 7), (0, 9), (0, 11), (1, 19), (1, 21)])
         baseline = counters(scalar)
@@ -134,6 +169,7 @@ class TestReadBatchEquivalence:
         assert [bytes(row) for row in got] == expected
         assert scalar.flips == batch.flips
         assert counters(scalar) == counters(batch)
+        assert_mitigation_matches(scalar, batch, mitigation)
         if accesses >= 40:
             # The workload is strong enough that the comparison includes
             # actual corruption, not just clean reads.
@@ -154,9 +190,9 @@ class TestReadBatchEquivalence:
 
 
 class TestWriteBatchEquivalence:
-    @pytest.mark.parametrize("accesses", [6, 40, 120])
-    def test_mixed_writes_match_scalar_loop(self, accesses):
-        scalar, batch = make_pair()
+    @pytest.mark.parametrize("accesses, mitigation", BATCH_CASES)
+    def test_mixed_writes_match_scalar_loop(self, accesses, mitigation):
+        scalar, batch = make_pair(mitigation=mitigation)
         for dram in (scalar, batch):
             prime_rows(dram, [(0, 7), (0, 9), (0, 11), (1, 19), (1, 21)])
 
@@ -171,6 +207,9 @@ class TestWriteBatchEquivalence:
 
         assert scalar.flips == batch.flips
         assert counters(scalar) == counters(batch)
+        assert_mitigation_matches(scalar, batch, mitigation)
+        if accesses >= 40:
+            assert scalar.flips
         for bank_s, bank_b in zip(scalar.banks, batch.banks):
             assert bank_s.data_rows.keys() == bank_b.data_rows.keys()
             for row, data in bank_s.data_rows.items():
@@ -345,28 +384,6 @@ class TestL2pBatchEquivalence:
         for lba, raw in zip(lbas, many.tolist()):
             scalar = ftl.l2p.lookup(lba)
             assert (scalar if scalar is not None else UNMAPPED) == raw
-        mapped = ftl.is_mapped_many(lbas)
-        assert mapped.tolist() == [ftl.is_mapped(lba) for lba in lbas]
-
-    @pytest.mark.parametrize("layout", ["linear", "hashed"])
-    def test_update_many_matches_scalar(self, layout):
-        _c1, _d1, ftl_many = build_stack(layout=layout)
-        _c2, _d2, ftl_scalar = build_stack(layout=layout)
-        lbas = [3, 9, 64, 120, 191]
-        ppas = [11, 29, 47, 5, 92]
-
-        ftl_many.l2p.update_many(lbas, ppas)
-        for lba, ppa in zip(lbas, ppas):
-            ftl_scalar.l2p.update(lba, ppa)
-
-        for lba in range(ftl_many.num_lbas):
-            assert ftl_many.l2p.lookup(lba) == ftl_scalar.l2p.lookup(lba)
-
-        ftl_many.l2p.clear_many(lbas[:2])
-        for lba in lbas[:2]:
-            ftl_scalar.l2p.clear(lba)
-        for lba in lbas:
-            assert ftl_many.l2p.lookup(lba) == ftl_scalar.l2p.lookup(lba)
 
 
 def logical_state(controller, ftl, nsid=1):
@@ -407,7 +424,8 @@ class TestTrimBurstEquivalence:
         lbas = [3, 9, 64, 120, 191]
         ppas = [11, 29, 47, 5, 92]
         for ftl in (ftl_many, ftl_scalar):
-            ftl.l2p.update_many(lbas, ppas)
+            for lba, ppa in zip(lbas, ppas):
+                ftl.l2p.update(lba, ppa)
 
         # Duplicates and already-cleared entries must behave like the loop.
         targets = [9, 9, 64, 2, 191]

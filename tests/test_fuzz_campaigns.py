@@ -14,6 +14,7 @@ from repro.testkit.fuzzer import (
     run_campaign,
     shrink_trace,
 )
+from repro.testkit.oracle import MODES
 from repro.testkit.trace import Trace, generate_trace
 
 pytestmark = pytest.mark.fuzz
@@ -144,22 +145,29 @@ class TestFaultCampaigns:
         assert run_campaign(**kwargs).to_json() == run_campaign(**kwargs).to_json()
 
 
+def patch_off_by_one(monkeypatch, layout_cls):
+    """Shift ``layout_cls.slot_of`` one slot up (clamped to the table)."""
+    original = layout_cls.slot_of
+
+    def broken(self, lba):
+        slot = original(self, lba)
+        return min(slot + 1, self.num_lbas - 1)
+
+    monkeypatch.setattr(layout_cls, "slot_of", broken)
+
+
 class TestMutationDetection:
     """A deliberately injected off-by-one must be found and shrunk.
 
     The monkeypatch is test-local (restored by the fixture); the broken
-    branch never exists in committed code.
+    branch never exists in committed code.  Either replay mode finds it:
+    the patched layout is no longer the inverse of ``lba_of_slot``, which
+    the FTL invariant check asserts.
     """
 
     @pytest.fixture
     def off_by_one_l2p(self, monkeypatch):
-        original = l2p_mod.LinearL2p.slot_of
-
-        def broken(self, lba):
-            slot = original(self, lba)
-            return min(slot + 1, self.num_lbas - 1)
-
-        monkeypatch.setattr(l2p_mod.LinearL2p, "slot_of", broken)
+        patch_off_by_one(monkeypatch, l2p_mod.LinearL2p)
 
     def test_divergence_found_within_500_ops(self, off_by_one_l2p):
         report = run_campaign(seed=42, num_ops=CAMPAIGN_OPS, shrink=False)
@@ -177,8 +185,7 @@ class TestMutationDetection:
         assert report.shrunk is not None
         assert len(report.shrunk) <= 10
         # The shrunk trace is a self-sufficient reproducer in the mode
-        # the campaign recorded (the patched scalar path stays
-        # self-consistent; it is the batch twin that disagrees with it).
+        # the campaign recorded.
         assert replay_trace(
             report.shrunk, mode=report.shrunk_mode, check_every=1
         )
@@ -188,6 +195,21 @@ class TestMutationDetection:
         assert report.shrunk is not None
         reloaded = Trace.from_json(report.shrunk.to_json())
         assert replay_trace(reloaded, mode=report.shrunk_mode, check_every=1)
+
+    @pytest.mark.parametrize("layout", ["linear", "hashed"])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_found_and_shrunk_in_each_mode_and_layout(
+        self, monkeypatch, mode, layout
+    ):
+        layout_cls = {"linear": l2p_mod.LinearL2p, "hashed": l2p_mod.HashedL2p}
+        patch_off_by_one(monkeypatch, layout_cls[layout])
+        report = run_campaign(
+            seed=42, num_ops=CAMPAIGN_OPS, layout=layout, modes=(mode,)
+        )
+        assert report.divergences[mode]
+        assert report.shrunk_mode == mode
+        assert len(report.shrunk) <= 10
+        assert replay_trace(report.shrunk, mode=mode, check_every=1)
 
 
 class TestShrinker:
