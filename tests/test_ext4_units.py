@@ -1,8 +1,10 @@
 """Unit tests for ext4 building blocks: CRC-32C, superblock, inodes,
 directory blocks, allocators, permissions."""
 
+import random
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import FsCorruptionError, FsError, FsNoSpaceError
@@ -18,6 +20,27 @@ from repro.ext4.dirent import DirectoryBlock
 from repro.ext4.inode import Extent, Inode, make_inode
 from repro.ext4.permissions import may_execute
 from repro.ext4.superblock import Superblock
+
+
+def _crc32c_table():
+    table = []
+    for byte in range(256):
+        crc = byte
+        for _ in range(8):
+            crc = (crc >> 1) ^ 0x82F63B78 if crc & 1 else crc >> 1
+        table.append(crc)
+    return table
+
+
+_CRC32C_TABLE = _crc32c_table()
+
+
+def crc32c_reference(data: bytes, crc: int = 0) -> int:
+    """The byte-at-a-time CRC-32C loop, the reference for the kernel."""
+    crc ^= 0xFFFFFFFF
+    for byte in data:
+        crc = (crc >> 8) ^ _CRC32C_TABLE[(crc ^ byte) & 0xFF]
+    return crc ^ 0xFFFFFFFF
 
 
 class TestCrc32c:
@@ -37,6 +60,27 @@ class TestCrc32c:
         reference = crc32c(bytes(data))
         data[3] ^= 0x10
         assert crc32c(bytes(data)) != reference
+
+    @given(
+        length=st.integers(min_value=0, max_value=9000),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        fill=st.sampled_from([None, 0x00, 0xFF]),
+        crc=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(length=4092, seed=1, fill=None, crc=0)
+    @example(length=4096, seed=2, fill=None, crc=0xFFFFFFFF)
+    @example(length=4097, seed=3, fill=0xFF, crc=0x12345678)
+    @example(length=8195, seed=4, fill=None, crc=1)
+    @example(length=3, seed=5, fill=None, crc=0xDEADBEEF)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_byte_loop(self, length, seed, fill, crc):
+        """Every length across the 4 KiB window, aligned or not, and any
+        chain value: the whole-block kernel equals the byte loop."""
+        if fill is None:
+            data = random.Random(seed).getrandbits(8 * length).to_bytes(length, "little")
+        else:
+            data = bytes([fill]) * length
+        assert crc32c(data, crc) == crc32c_reference(data, crc)
 
 
 class TestSuperblock:
