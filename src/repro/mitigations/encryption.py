@@ -33,21 +33,23 @@ class TenantKey:
         return cls(tenant=tenant, secret=digest)
 
 
-def _keystream(key: TenantKey, lba: int, length: int) -> bytes:
-    """Deterministic per-(key, LBA) keystream of ``length`` bytes."""
-    out = bytearray()
-    counter = 0
-    seed = key.secret + lba.to_bytes(8, "little")
-    while len(out) < length:
-        out += hashlib.sha256(seed + counter.to_bytes(4, "little")).digest()
-        counter += 1
-    return bytes(out[:length])
-
-
 def encrypt_block(key: TenantKey, lba: int, plaintext: bytes) -> bytes:
-    """Tweakable encryption of one block."""
-    stream = _keystream(key, lba, len(plaintext))
-    return bytes(a ^ b for a, b in zip(plaintext, stream))
+    """Tweakable encryption of one block.
+
+    The keystream is ``SHA-256(secret || lba || counter)`` for counters
+    0, 1, ... (``lba`` as 8 bytes and ``counter`` as 4, little-endian),
+    cut to the block's length.  The (key, LBA) prefix is hashed once and
+    each 32-byte chunk continues from a copy of that state.
+    """
+    size = len(plaintext)
+    seeded = hashlib.sha256(key.secret + lba.to_bytes(8, "little"))
+    chunks = []
+    for counter in range(-(-size // 32)):
+        chunk = seeded.copy()
+        chunk.update(counter.to_bytes(4, "little"))
+        chunks.append(chunk.digest())
+    stream = int.from_bytes(b"".join(chunks)[:size], "little")
+    return (int.from_bytes(plaintext, "little") ^ stream).to_bytes(size, "little")
 
 
 #: XOR stream: decryption is the same operation.
