@@ -29,13 +29,17 @@ CORRECTED_DATA = "corrected-data"
 CORRECTED_CHECK = "corrected-check"
 
 
-def _build_tables() -> Tuple[List[int], dict, List[int]]:
-    """Positions of data bits in the Hamming codeword and XOR masks.
+def _build_tables() -> Tuple[List[int], dict, np.ndarray]:
+    """Positions of data bits in the Hamming codeword, and the lane table.
 
-    Returns ``(positions, position_to_index, check_masks)`` where
+    Returns ``(positions, position_to_index, lanes)`` where
     ``positions[i]`` is the codeword position of data bit ``i``,
-    ``position_to_index`` inverts it, and ``check_masks[j]`` is the 64-bit
-    mask of data bits covered by check bit ``j``.
+    ``position_to_index`` inverts it, and ``lanes[i, v]`` is the check
+    byte of the data word ``v << 8*i``.  The check byte is linear in the
+    data word, so a word's check byte is the XOR of its eight bytes'
+    entries.  Data bit ``i`` alone sets the Hamming check bits that spell
+    its position, and the overall-parity bit when that position has an
+    even number of ones.
     """
     positions = []
     pos = 1
@@ -44,27 +48,28 @@ def _build_tables() -> Tuple[List[int], dict, List[int]]:
             positions.append(pos)
         pos += 1
     position_to_index = {p: i for i, p in enumerate(positions)}
-    check_masks = []
-    for j in range(7):
-        mask = 0
-        for i, p in enumerate(positions):
-            if (p >> j) & 1:
-                mask |= 1 << i
-        check_masks.append(mask)
-    return positions, position_to_index, check_masks
+    single = [p | (1 ^ bin(p).count("1") & 1) << 7 for p in positions]
+    lanes = np.zeros((8, 256), dtype=np.uint8)
+    for lane in range(8):
+        for value in range(1, 256):
+            low = value & -value
+            lanes[lane, value] = (
+                lanes[lane, value ^ low] ^ single[8 * lane + low.bit_length() - 1]
+            )
+    return positions, position_to_index, lanes
 
 
-_POSITIONS, _POSITION_TO_INDEX, _CHECK_MASKS = _build_tables()
+_POSITIONS, _POSITION_TO_INDEX, _LANES = _build_tables()
+#: The lane table as Python lists, for one word at a time.
+_LANE_ROWS = _LANES.tolist()
+_LANE_INDEX = np.arange(8)
 
 
-def _parity64(value: int) -> int:
-    value ^= value >> 32
-    value ^= value >> 16
-    value ^= value >> 8
-    value ^= value >> 4
-    value ^= value >> 2
-    value ^= value >> 1
-    return value & 1
+def _check_byte(data: int) -> int:
+    check = 0
+    for row, byte in zip(_LANE_ROWS, data.to_bytes(8, "little")):
+        check ^= row[byte]
+    return check
 
 
 @dataclass
@@ -86,12 +91,7 @@ class SecdedCodec:
         """Compute the check byte for a 64-bit data word."""
         if not 0 <= data < 1 << 64:
             raise ValueError("data word out of 64-bit range")
-        check = 0
-        for j, mask in enumerate(_CHECK_MASKS):
-            check |= _parity64(data & mask) << j
-        # Overall parity covers data bits and the 7 Hamming check bits.
-        overall = _parity64(data) ^ _parity64(check)
-        return check | (overall << 7)
+        return _check_byte(data)
 
     def decode(self, data: int, check: int) -> DecodeResult:
         """Verify and correct one codeword.
@@ -99,13 +99,11 @@ class SecdedCodec:
         Raises :class:`~repro.errors.EccUncorrectableError` on a double-bit
         error.
         """
-        expected = 0
-        for j, mask in enumerate(_CHECK_MASKS):
-            expected |= _parity64(data & mask) << j
-        syndrome = (check & 0x7F) ^ expected
-        stored_overall = (check >> 7) & 1
-        computed_overall = _parity64(data) ^ _parity64(check & 0x7F)
-        overall_mismatch = stored_overall ^ computed_overall
+        diff = check ^ _check_byte(data)
+        syndrome = diff & 0x7F
+        # The stored overall parity against the data and the stored
+        # Hamming bits: the parity of the whole difference.
+        overall_mismatch = bin(diff).count("1") & 1
 
         if syndrome == 0 and not overall_mismatch:
             return DecodeResult(data, check, CLEAN)
@@ -132,18 +130,6 @@ class SecdedCodec:
 
     def encode_words(self, words: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`encode` over a uint64 array (returns uint8)."""
-        words = words.astype(np.uint64, copy=False)
-        check = np.zeros(words.shape, dtype=np.uint64)
-        for j, mask in enumerate(_CHECK_MASKS):
-            masked = words & np.uint64(mask)
-            check |= _parity_fold(masked) << np.uint64(j)
-        overall = _parity_fold(words) ^ _parity_fold(check)
-        return (check | (overall << np.uint64(7))).astype(np.uint8)
-
-
-def _parity_fold(values: np.ndarray) -> np.ndarray:
-    """Vectorized 64-bit parity."""
-    values = values.copy()
-    for shift in (32, 16, 8, 4, 2, 1):
-        values ^= values >> np.uint64(shift)
-    return values & np.uint64(1)
+        words = np.ascontiguousarray(words, dtype="<u8")
+        lane_bytes = words.view(np.uint8).reshape(words.shape + (8,))
+        return np.bitwise_xor.reduce(_LANES[_LANE_INDEX, lane_bytes], axis=-1)
