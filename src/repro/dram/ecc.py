@@ -66,6 +66,7 @@ _LANE_INDEX = np.arange(8)
 
 
 def _check_byte(data: int) -> int:
+    """The check byte of a 64-bit word: the XOR of its bytes' lane entries."""
     check = 0
     for row, byte in zip(_LANE_ROWS, data.to_bytes(8, "little")):
         check ^= row[byte]
