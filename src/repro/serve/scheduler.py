@@ -23,6 +23,16 @@ onto the shared NVMe controller, entirely in simulated time:
   clock jumps straight to the next arrival or token-refill instant —
   nothing polls, nothing sleeps, and the event order is a pure function
   of the traces, so two runs of the same scenario are byte-identical.
+  Two ready structures keep every step proportional to the tenants that
+  can act, not to the tenant count: an *arrival heap* of ``(issue
+  time, tenant index)``, holding each tenant whose next arrival is not
+  stalled once, and the sorted *active index* of tenants with queued
+  commands.  Admission pops only due arrivals and takes them in index
+  order; a round walks the active index with :mod:`bisect` from the
+  rotation pointer; the idle jump takes the earliest ``not_before`` of
+  an active tenant or arrival of an idle one.  A tenant stalled on a
+  full queue leaves the heap and re-enters when a dispatch frees a
+  slot.
 
 * **Fault tolerance.**  Each tenant carries a
   :class:`~repro.serve.resilience.ResiliencePolicy`: transient failures
@@ -47,6 +57,8 @@ in ``serve.*`` trace events.
 
 from __future__ import annotations
 
+import heapq
+from bisect import bisect_left
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
@@ -157,10 +169,6 @@ class TenantRuntime:
             "errors_by_status", status=name, tenant=self.config.name
         ).add()
 
-    @property
-    def drained(self) -> bool:
-        return self.dropped or (not self.pending and not self.qpair.outstanding)
-
 
 class ServeScheduler:
     """Deficit round-robin arbiter over per-tenant queue pairs."""
@@ -190,6 +198,11 @@ class ServeScheduler:
         self.t0 = 0.0
         self.duration = 0.0
         self._pointer = 0
+        #: Heap of ``(t0 + head issue, tenant index)``, one entry per
+        #: tenant with a pending arrival that is not stalled.
+        self._arrivals: List[Tuple[float, int]] = []
+        #: Sorted indices of the tenants with queued commands.
+        self._active: List[int] = []
         self._activations = (
             controller.ftl.memory.dram.metrics.counter("activations")
         )
@@ -228,16 +241,26 @@ class ServeScheduler:
 
         The arrival stream is strictly FIFO per tenant: a full queue
         stalls the *head* arrival and everything behind it (counted once
-        per stall episode), never reorders or drops.
+        per stall episode), never reorders or drops.  Only tenants whose
+        head arrival is due are visited, in index order.
         """
         now = self.clock._now
-        for tenant in self.runtimes:
+        arrivals = self._arrivals
+        due = []
+        while arrivals and arrivals[0][0] <= now:
+            due.append(heapq.heappop(arrivals)[1])
+        due.sort()
+        for index in due:
+            tenant = self.runtimes[index]
+            admitted = False
             while tenant.pending:
                 op = tenant.pending[0]
                 issue = self.t0 + op.issue
                 if issue > now:
+                    heapq.heappush(arrivals, (issue, index))
                     break
                 if tenant.qpair.outstanding >= tenant.qpair.depth:
+                    # Out of the heap until a dispatch frees a slot.
                     if not tenant.stalled:
                         tenant.stalled = True
                         tenant.backpressure.add()
@@ -252,6 +275,12 @@ class ServeScheduler:
                 tenant.stalled = False
                 tenant.qpair.submit(self._command_for(tenant, op))
                 tenant.issue_times.append(issue)
+                admitted = True
+            if admitted:
+                active = self._active
+                slot = bisect_left(active, index)
+                if slot == len(active) or active[slot] != index:
+                    active.insert(slot, index)
 
     def _command_for(self, tenant: TenantRuntime, op: TraceOp) -> NvmeCommand:
         opcode = _OPCODES[op.op]
@@ -269,52 +298,84 @@ class ServeScheduler:
     # -- arbitration ----------------------------------------------------
 
     def _serve_round(self) -> bool:
-        """One DRR round over all tenants; True if anything dispatched."""
+        """One DRR round over the active tenants, in rotation order from
+        the pointer; True if anything dispatched."""
         served = False
+        active = self._active
         n = len(self.runtimes)
-        for offset in range(n):
-            tenant = self.runtimes[(self._pointer + offset) % n]
-            if (
-                not tenant.qpair.outstanding
-                or tenant.not_before > self.clock._now
-            ):
-                continue
-            tenant.deficit += self.quantum * tenant.config.qos.weight
-            while tenant.qpair.outstanding and tenant.deficit >= 1.0:
-                if tenant.limiter is not None and not tenant.token_paid:
-                    delay = tenant.limiter.delay_for(self.clock._now)
-                    if delay > 0.0:
-                        # Reserve: the token is spent, the command waits.
-                        tenant.token_paid = True
-                        tenant.not_before = self.clock._now + delay
-                        tenant.throttled.add()
-                        # A parked tenant forfeits its deficit — QoS debt
-                        # must not become an arbitration burst later.
-                        tenant.deficit = 0.0
-                        if self.tracer is not None:
-                            self.tracer.emit(
-                                "serve.throttle",
-                                tenant=tenant.config.name,
-                                delay=delay,
-                            )
-                        break
-                tenant.token_paid = False
-                retired = self._dispatch(tenant)
-                served = True
-                if not retired:
-                    # The head command was deferred for a retry backoff:
-                    # the tenant parks until ``not_before`` and, like a
-                    # throttle park, forfeits its deficit.
-                    tenant.deficit = 0.0
+        start = self._pointer
+        # The rotation from ``start`` is the index range [start, n), then
+        # [0, start).  Each step re-bisects from the cursor, so a tenant
+        # admitted mid-round ahead of the cursor is served this round and
+        # one admitted behind it waits for the next.
+        for low, high in ((start, n), (0, start)):
+            cursor = low
+            while True:
+                slot = bisect_left(active, cursor)
+                if slot == len(active) or active[slot] >= high:
                     break
-                tenant.deficit -= 1.0
-                # Dispatch advanced the clock: admit newly due arrivals
-                # before the next grant, so intra-round service order
-                # follows simulated time, not trace batching.
-                self._admit()
-            if not tenant.qpair.outstanding:
+                index = active[slot]
+                cursor = index + 1
+                tenant = self.runtimes[index]
+                if tenant.not_before > self.clock._now:
+                    continue
+                if self._serve_tenant(index, tenant):
+                    served = True
+                if not tenant.qpair.outstanding:
+                    tenant.deficit = 0.0
+                    del active[bisect_left(active, index)]
+                    if tenant.dropped:
+                        self._arrivals = [
+                            entry for entry in self._arrivals
+                            if entry[1] != index
+                        ]
+                        heapq.heapify(self._arrivals)
+        self._pointer = (start + 1) % n
+        return served
+
+    def _serve_tenant(self, index: int, tenant: TenantRuntime) -> bool:
+        """Grant one tenant its quantum; True if anything dispatched (a
+        visit that only throttles is not service)."""
+        served = False
+        tenant.deficit += self.quantum * tenant.config.qos.weight
+        while tenant.qpair.outstanding and tenant.deficit >= 1.0:
+            if tenant.limiter is not None and not tenant.token_paid:
+                delay = tenant.limiter.delay_for(self.clock._now)
+                if delay > 0.0:
+                    # Reserve: the token is spent, the command waits.
+                    tenant.token_paid = True
+                    tenant.not_before = self.clock._now + delay
+                    tenant.throttled.add()
+                    # A parked tenant forfeits its deficit — QoS debt
+                    # must not become an arbitration burst later.
+                    tenant.deficit = 0.0
+                    if self.tracer is not None:
+                        self.tracer.emit(
+                            "serve.throttle",
+                            tenant=tenant.config.name,
+                            delay=delay,
+                        )
+                    break
+            tenant.token_paid = False
+            retired = self._dispatch(tenant)
+            served = True
+            if not retired:
+                # The head command was deferred for a retry backoff:
+                # the tenant parks until ``not_before`` and, like a
+                # throttle park, forfeits its deficit.
                 tenant.deficit = 0.0
-        self._pointer = (self._pointer + 1) % n
+                break
+            tenant.deficit -= 1.0
+            if tenant.stalled and tenant.pending:
+                # The retired command freed a slot: the stalled head
+                # arrival (already due) rejoins the heap.
+                heapq.heappush(
+                    self._arrivals, (self.t0 + tenant.pending[0].issue, index)
+                )
+            # Dispatch advanced the clock: admit newly due arrivals
+            # before the next grant, so intra-round service order
+            # follows simulated time, not trace batching.
+            self._admit()
         return served
 
     def _dispatch(self, tenant: TenantRuntime) -> bool:
@@ -547,30 +608,42 @@ class ServeScheduler:
     # -- idle advancement ----------------------------------------------
 
     def _next_event(self) -> Optional[float]:
-        """The next instant anything can legally happen (None = done)."""
-        now = self.clock._now
+        """The next instant anything can legally happen (None = done).
+
+        An active tenant can next act at its ``not_before``; an idle one
+        at its next arrival.
+        """
+        active = self._active
         best: Optional[float] = None
-        for tenant in self.runtimes:
-            if tenant.qpair.outstanding:
-                candidate = max(now, tenant.not_before)
-            elif tenant.pending:
-                candidate = max(now, self.t0 + tenant.pending[0].issue)
-            else:
-                continue
+        for index in active:
+            candidate = self.runtimes[index].not_before
             if best is None or candidate < best:
                 best = candidate
-        return best
+        for issue, index in self._arrivals:
+            if best is None or issue < best:
+                slot = bisect_left(active, index)
+                if slot == len(active) or active[slot] != index:
+                    best = issue
+        if best is None:
+            return None
+        return max(self.clock._now, best)
 
     # -- main loop ------------------------------------------------------
 
     def run(self) -> float:
         """Serve every tenant's trace to completion; returns duration."""
         self.t0 = self.clock._now
+        self._arrivals = [
+            (self.t0 + tenant.pending[0].issue, index)
+            for index, tenant in enumerate(self.runtimes)
+            if tenant.pending
+        ]
+        heapq.heapify(self._arrivals)
         while True:
             self._admit()
             if self._serve_round():
                 continue
-            if all(tenant.drained for tenant in self.runtimes):
+            if not self._arrivals and not self._active:
                 break
             nxt = self._next_event()
             if nxt is None or nxt <= self.clock._now:
