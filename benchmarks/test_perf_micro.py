@@ -23,6 +23,7 @@ from repro.ftl import FtlConfig, PageMappingFtl
 from repro.host.blockdev import BlockDevice
 from repro.mitigations.encryption import TenantKey, encrypt_block
 from repro.nvme import NvmeController
+from repro.serve import ServeScenario, run_scenario
 from repro.sim import SimClock
 
 GRANITE = GenerationProfile(name="granite", year=2021, ddr_type="T", min_rate_kps=1e9)
@@ -135,3 +136,29 @@ def test_secded_encode_one_word(benchmark):
     codec = SecdedCodec()
     word = np.array([0x0123456789ABCDEF], dtype=np.uint64)
     assert benchmark(codec.encode_words, word).tolist() == [0x9C]
+
+
+# -- the serving scheduler, at few and many tenants ----------------------
+
+#: The benign rotation of ``serve_fig2_16tenants.json``: (kind, weight).
+FIG2_ROTATION = (("bursty_reader", 2), ("log_writer", 1), ("scan_reader", 1))
+
+
+@pytest.mark.parametrize("tenants", [4, 256])
+def test_serve_dispatch(benchmark, tenants):
+    scenario = ServeScenario.from_dict({
+        "name": "serve-dispatch",
+        "seed": 1,
+        "device": {"num_lbas": 1024, "profile": "granite"},
+        "tenants": [
+            {
+                "name": "tenant-%d" % index,
+                "kind": FIG2_ROTATION[index % 3][0],
+                "weight": FIG2_ROTATION[index % 3][1],
+                "ops": 8,
+            }
+            for index in range(tenants)
+        ],
+    })
+    report = benchmark(run_scenario, scenario)
+    assert sum(t["commands"] for t in report.tenants) == 8 * tenants
