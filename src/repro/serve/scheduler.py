@@ -319,7 +319,7 @@ class ServeScheduler:
                 tenant = self.runtimes[index]
                 if tenant.not_before > self.clock._now:
                     continue
-                if self._serve_tenant(index, tenant):
+                if self._serve_tenant(index):
                     served = True
                 if not tenant.qpair.outstanding:
                     tenant.deficit = 0.0
@@ -333,9 +333,10 @@ class ServeScheduler:
         self._pointer = (start + 1) % n
         return served
 
-    def _serve_tenant(self, index: int, tenant: TenantRuntime) -> bool:
+    def _serve_tenant(self, index: int) -> bool:
         """Grant one tenant its quantum; True if anything dispatched (a
         visit that only throttles is not service)."""
+        tenant = self.runtimes[index]
         served = False
         tenant.deficit += self.quantum * tenant.config.qos.weight
         while tenant.qpair.outstanding and tenant.deficit >= 1.0:
@@ -368,7 +369,8 @@ class ServeScheduler:
             tenant.deficit -= 1.0
             if tenant.stalled and tenant.pending:
                 # The retired command freed a slot: the stalled head
-                # arrival (already due) rejoins the heap.
+                # arrival (already due) rejoins the heap.  A dropped
+                # tenant has no pending arrivals left.
                 heapq.heappush(
                     self._arrivals, (self.t0 + tenant.pending[0].issue, index)
                 )
