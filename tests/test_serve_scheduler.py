@@ -9,10 +9,12 @@ to match; where the FTL raises its known ``FlashProgramError`` after a
 failed program, both sides must raise it with the same message.
 """
 
+import json
 import os
 import tempfile
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -270,6 +272,30 @@ class TestScanEquivalence:
             ],
         }
         assert_same_as_reference(raw)
+
+
+    @pytest.mark.parametrize("mode", ["fail_fast", "park", "drop_tenant"])
+    def test_read_only_degradation_matches_the_scan_reference(self, mode):
+        """Erase faults exhaust the spare pool while a paced writer still
+        has future arrivals in the heap; a dropped writer must leave it."""
+        raw = {
+            "name": "degrade",
+            "seed": 11,
+            "device": {"num_lbas": 512, "profile": "granite",
+                       "spare_blocks": 2},
+            "faults": {"seed": 3, "erase_fail_rate": 0.4},
+            "tenants": [
+                {"name": "logger", "kind": "log_writer", "ops": 500,
+                 "on_read_only": mode, "params": {"rate": 2000.0}},
+                {"name": "scanner", "kind": "scan_reader", "ops": 300},
+            ],
+        }
+        outputs = serve_outputs(raw)
+        assert outputs == serve_outputs(raw, ScanScheduler)
+        report = json.loads(outputs[0])
+        assert report["resilience"]["read_only"]
+        if mode == "drop_tenant":
+            assert report["resilience"]["dropped_ops"] > 0
 
 
 class TestReadyStructures:
