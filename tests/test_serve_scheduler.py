@@ -1,12 +1,13 @@
 """Differential tests for the serving scheduler's ready structures.
 
-:class:`ScanScheduler` is the scheduler as it was before the arrival
-heap and the active-tenant index: admission, the arbitration round, the
-idle jump and the main loop each scan every tenant.  It stays here as
-the reference.  The properties run random scenarios through both and
-require the report JSON, the Prometheus exposition and the trace bytes
-to match; where the FTL raises its known ``FlashProgramError`` after a
-failed program, both sides must raise it with the same message.
+:class:`ScanScheduler` is the reference: its admission, arbitration
+round, idle jump and main loop each scan every tenant, where
+:class:`~repro.serve.scheduler.ServeScheduler` uses an arrival heap and
+an active-tenant index.  The properties run random scenarios through
+both and require the report JSON, the Prometheus exposition and the
+trace bytes to match; where the FTL raises its known
+``FlashProgramError`` after a failed program, both sides must raise it
+with the same message.
 """
 
 import json
