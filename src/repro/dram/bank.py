@@ -14,6 +14,20 @@ refreshed (by TRR, PARA, or the window rollover).  Disturbance of a victim
 is computed from counts *since its baseline*, so refreshing a victim
 properly forgives all prior hammering without touching the aggressors'
 counters.
+
+Flip marks
+----------
+``flip_marks[row]`` is the threshold of the weakest weak cell of ``row``
+that has not been applied since the row's stored bytes last changed by
+anything other than a flip, and ``inf`` once every cell has been applied.
+Re-applying a cell below the mark is a no-op: weak cells sit at distinct
+(byte, bit) positions, :meth:`Bank.flip_bit` only ever moves a bit toward
+its cell's ``flips_to``, and a region that was never allocated ignores
+flips.  So the victim evaluator compares disturbance against the mark and
+never re-walks cells it has already applied.  The mark is dropped (the
+row's minimum threshold applies again) whenever the row's data or check
+bytes are written or allocated; refreshes and window rollover keep it,
+since they restart disturbance but restore no flipped bit.
 """
 
 from __future__ import annotations
@@ -50,6 +64,10 @@ class Bank:
         #: last refreshed mid-window: (left, right, left2, right2) — the two
         #: adjacent neighbours plus the distance-2 (Half-Double) shell.
         self.victim_baseline: Dict[int, Tuple[int, int, int, int]] = {}
+        #: Victim row -> flip mark: the threshold of its weakest weak cell
+        #: not applied since the row's bytes last changed other than by a
+        #: flip (``inf`` once all are).  Absent: the row's minimum applies.
+        self.flip_marks: Dict[int, float] = {}
         #: Epoch index currently being accounted.
         self.epoch = -1
         #: Row currently held in the row buffer, or None after precharge.
@@ -110,11 +128,13 @@ class Bank:
         return array
 
     def check_bytes(self, row: int, allocate: bool = False) -> Optional[np.ndarray]:
-        """The row's ECC check region (row_bytes/8 bytes)."""
+        """The row's ECC check region (row_bytes/8 bytes).  Allocating it
+        drops the row's flip mark: its cells become flippable."""
         array = self.check_rows.get(row)
         if array is None and allocate:
             array = np.zeros(self.geometry.row_bytes // 8, dtype=np.uint8)
             self.check_rows[row] = array
+            self.flip_marks.pop(row, None)
         return array
 
     def is_allocated(self, row: int) -> bool:
@@ -136,7 +156,8 @@ class Bank:
         return array[column : column + length].copy()
 
     def write(self, row: int, column: int, data: np.ndarray) -> None:
-        """Write bytes at (row, column), allocating the row on first use."""
+        """Write bytes at (row, column), allocating the row on first use;
+        drops the row's flip mark."""
         length = len(data)
         if column < 0 or column + length > self.geometry.row_bytes:
             raise DramAddressError(
@@ -145,6 +166,7 @@ class Bank:
             )
         array = self._data(row, allocate=True)
         array[column : column + length] = data
+        self.flip_marks.pop(row, None)
 
     # -- disturbance application ---------------------------------------------
 

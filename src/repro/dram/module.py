@@ -31,6 +31,17 @@ judged by one evaluator, :meth:`DramModule._evaluate_victim`:
 Flips are idempotent and monotone in the counts, so with no randomized
 mitigation active both primitives flip the same cells; property tests
 assert it.
+
+Idempotence is also what lets the evaluator skip work: each victim row
+keeps a *flip mark* on its bank (:attr:`Bank.flip_marks
+<repro.dram.bank.Bank.flip_marks>`), the threshold of its weakest weak cell
+not applied since the row's bytes last changed other than by a flip.  The
+evaluator compares disturbance against the mark, applying flips starts at
+the first cell at or above it, and the ordered stream does not evaluate a
+victim whose mark is ``inf`` at all.  Writes, ECC check-byte updates and
+check-region allocation (also by an ECC read) drop the mark; TRR, PARA and
+window rollover keep it, since a refresh restores no flipped bit.  The
+re-walking evaluator this replaces is the reference in the tests.
 """
 
 from __future__ import annotations
@@ -312,6 +323,8 @@ class DramModule:
         word_bytes = codec.word_bytes
         first_word = column // word_bytes
         last_word = (column + length - 1) // word_bytes
+        # Allocating the check region here drops the row's flip mark: its
+        # check cells become flippable.
         check = bank.check_bytes(row, allocate=True)
         raw = bank.read(row, first_word * word_bytes, (last_word - first_word + 1) * word_bytes)
         words = raw.view(np.uint64)
@@ -326,7 +339,8 @@ class DramModule:
         return bytes(corrected[start : start + length])
 
     def _update_check_bytes(self, bank: Bank, row: int, column: int, length: int) -> None:
-        """Recompute check bytes for every word a write touched."""
+        """Recompute check bytes for every word a write touched; drops the
+        row's flip mark."""
         codec = self.codec
         word_bytes = codec.word_bytes
         first_word = column // word_bytes
@@ -335,6 +349,7 @@ class DramModule:
         words = raw.view(np.uint64)
         check = bank.check_bytes(row, allocate=True)
         check[first_word : last_word + 1] = codec.encode_words(words)
+        bank.flip_marks.pop(row, None)
 
     # ------------------------------------------------------------------
     # the ordered stream
@@ -421,14 +436,19 @@ class DramModule:
                 victims = para.on_activation(bank_idx, row)
                 if victims:
                     self._refresh_victims(bank, row, victims, "dram.para")
+            marks = bank.flip_marks
             for delta in deltas:
                 victim = row + delta
                 if 0 <= victim < rows_per_bank:
-                    threshold = thresholds.get((bank_idx, victim))
+                    threshold = marks.get(victim)
                     if threshold is None:
-                        threshold = self.vulnerability.min_threshold(
-                            bank_idx, victim
-                        )
+                        threshold = thresholds.get((bank_idx, victim))
+                        if threshold is None:
+                            threshold = self.vulnerability.min_threshold(
+                                bank_idx, victim
+                            )
+                    # Here evaluation has no other effect, so a victim
+                    # whose every cell is applied is skipped.
                     if threshold != _INF:
                         evaluate(bank, victim, threshold)
         if hits:
@@ -461,7 +481,8 @@ class DramModule:
         result: Optional[HammerResult] = None,
     ) -> None:
         """Apply the flips the victim's disturbance since its last refresh
-        has earned; ``threshold`` is its weakest cell's.
+        has earned; ``threshold`` is its flip mark, or its weakest cell's
+        when it has none.
 
         ``capped`` is None on the ordered stream, where TRR and PARA have
         already acted on every ACT.  Where a window histogram stands in for
@@ -496,14 +517,22 @@ class DramModule:
                     if result is not None:
                         result.para_refreshes += refreshes
         if disturbance >= threshold:
-            self._apply_flips(bank, victim, disturbance)
+            self._apply_flips(bank, victim, disturbance, threshold)
 
-    def _apply_flips(self, bank: Bank, victim: int, disturbance: float) -> int:
-        """Flip every weak cell at or below ``disturbance``; idempotent."""
+    def _apply_flips(
+        self, bank: Bank, victim: int, disturbance: float, mark: float
+    ) -> int:
+        """Flip every weak cell from the first at or above ``mark`` up to
+        ``disturbance``, and record the next cell's threshold (``inf``
+        past the last) as the victim's flip mark."""
         row_vuln = self.vulnerability.row_vulnerability(bank.index, victim)
         applied = 0
+        next_mark = _INF
         for cell in row_vuln.cells:
+            if cell.threshold < mark:
+                continue  # applied since the row's bytes last changed
             if cell.threshold > disturbance:
+                next_mark = cell.threshold
                 break  # cells are sorted by threshold
             change = bank.flip_bit(victim, cell.byte_offset, cell.bit, cell.flips_to)
             if change is None:
@@ -533,6 +562,7 @@ class DramModule:
                     check_region=event.in_check_region,
                 )
             applied += 1
+        bank.flip_marks[victim] = next_mark
         return applied
 
     # ------------------------------------------------------------------
@@ -587,9 +617,12 @@ class DramModule:
         min_threshold = self.vulnerability.min_threshold
         for bank_idx, rows, distinct in victims:
             bank = self.banks[bank_idx]
+            marks = bank.flip_marks
             capped = trr is not None and not trr.evaded_by(distinct)
             for victim in rows:
-                threshold = min_threshold(bank_idx, victim)
+                threshold = marks.get(victim)
+                if threshold is None:
+                    threshold = min_threshold(bank_idx, victim)
                 if sampled or threshold != _INF:
                     self._evaluate_victim(bank, victim, threshold, capped, result)
 
@@ -882,9 +915,7 @@ class DramModule:
             self.tracer.emit("dram.access", op="w", count=n, len=length)
         self._stream(zip(banks, rows))
         for i in range(n):
-            array = self.banks[banks[i]]._data(rows[i], allocate=True)
-            column = columns[i]
-            array[column : column + length] = data[i]
+            self.banks[banks[i]].write(rows[i], columns[i], data[i])
 
     # ------------------------------------------------------------------
     # observability helpers

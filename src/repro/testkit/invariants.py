@@ -217,6 +217,9 @@ def check_dram(dram) -> None:
       non-negative.
     * Every recorded flip names a cell that exists, and its
       ``in_check_region`` flag matches its byte offset.
+    * Every weak cell below a victim's flip mark holds its ``flips_to``
+      value, unless its region was never allocated or is the check region
+      of a module without ECC (flips do not land there).
     """
     geometry = dram.geometry
     window_total = 0
@@ -255,6 +258,7 @@ def check_dram(dram) -> None:
                         "neighbour counts %r (counters ran backwards)"
                         % (bank.index, victim, base, current),
                     )
+        _check_flip_marks(dram, bank)
 
     activations = dram.metrics.counter("activations").value
     if window_total > activations:
@@ -289,6 +293,35 @@ def check_dram(dram) -> None:
                 "flip at offset %d mislabels in_check_region=%r"
                 % (event.byte_offset, event.in_check_region),
             )
+
+
+def _check_flip_marks(dram, bank) -> None:
+    """Cells below a victim's flip mark were applied since the row's bytes
+    last changed, so each holds the value it flips to."""
+    row_bytes = dram.geometry.row_bytes
+    for victim, mark in bank.flip_marks.items():
+        cells = dram.vulnerability.row_vulnerability(bank.index, victim).cells
+        for cell in cells:
+            if cell.threshold >= mark:
+                break  # cells are sorted by threshold
+            offset = cell.byte_offset
+            if offset < row_bytes:
+                array = bank.data_rows.get(victim)
+            elif dram.ecc_enabled:
+                array = bank.check_rows.get(victim)
+                offset -= row_bytes
+            else:
+                continue
+            if array is None:
+                continue
+            if (int(array[offset]) >> cell.bit) & 1 != cell.flips_to:
+                _fail(
+                    "dram",
+                    "bank %d victim %d: weak cell (byte %d, bit %d) below "
+                    "flip mark %r does not hold %d"
+                    % (bank.index, victim, cell.byte_offset, cell.bit, mark,
+                       cell.flips_to),
+                )
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,7 @@ and the differential oracle's flip-exemption logic."""
 
 import pytest
 
-from repro.dram import FlipEvent
+from repro.dram import DramAddress, FlipEvent
 from repro.ext4 import Credentials, Ext4Fs, ROOT
 from repro.host.blockdev import BlockDevice
 from repro.testkit import (
@@ -142,6 +142,22 @@ class TestDramInvariants:
         )
         dram.metrics.counter("flips").add()
         with pytest.raises(InvariantViolation, match="in_check_region"):
+            dram.check()
+
+    def test_bit_restored_behind_a_flip_mark_detected(self):
+        _c, dram, _f = build_stack(profile=FRAGILE)
+        # Charge every weak cell of the victim, so each one flips.
+        content = bytearray(dram.geometry.row_bytes)
+        for cell in dram.vulnerability.row_vulnerability(0, 100).cells:
+            content[cell.byte_offset] |= (1 - cell.flips_to) << cell.bit
+        dram.write(dram.mapping.address_of(DramAddress(0, 100, 0)), bytes(content))
+        dram.activate_burst([(0, 99), (0, 101)] * 200)
+        flip = dram.flips[0]
+        dram.check()
+        # Restore the flipped bit without a write: the victim's flip mark
+        # still says its cell was applied.
+        dram.banks[flip.bank].data_rows[flip.row][flip.byte_offset] = flip.old_byte
+        with pytest.raises(InvariantViolation, match="flip mark"):
             dram.check()
 
     def test_inspect_is_side_effect_free(self):
