@@ -40,7 +40,7 @@ specs, and the serve frontend can vary it without code edits.
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Union
 
 #: Sampling policies a :class:`TargetRowRefresh` tracker can run.
 SAMPLING_POLICIES = ("counter_lru", "random_sample", "first_k_per_window")
@@ -133,12 +133,6 @@ class TargetRowRefresh:
             or not self.per_bank
             or self.neighbor_radius != 1
         )
-
-    def _tracker_for(self, bank: int) -> Tuple[Dict[Any, int], Any]:
-        """(tracker dict, entry key) for one activation."""
-        if self.per_bank:
-            return self._trackers.setdefault(bank, {}), None
-        return self._trackers.setdefault(0, {}), bank
 
     def on_activation(self, bank: int, row: int) -> List[int]:
         """Account one activation; returns victim rows to refresh (may be
