@@ -10,6 +10,7 @@ import pytest
 
 from repro.dram import (
     CacheMode,
+    DramAddress,
     DramGeometry,
     DramModule,
     FtlCpuCache,
@@ -25,6 +26,7 @@ from repro.mitigations.encryption import TenantKey, encrypt_block
 from repro.nvme import NvmeController
 from repro.serve import ServeScenario, run_scenario
 from repro.sim import SimClock
+from repro.utrr import UtrrPipeline, build_utrr_target
 
 GRANITE = GenerationProfile(name="granite", year=2021, ddr_type="T", min_rate_kps=1e9)
 ALICE = Credentials(uid=1000, gid=1000)
@@ -82,6 +84,28 @@ def test_dram_batch_hammer_window(benchmark, dram):
 
     result = benchmark(op)
     assert result.accesses == 100_000
+
+
+def test_dram_activate_burst(benchmark):
+    """One planted onset-scan probe of U-TRR inference: five aggressors
+    against a four-entry counter_lru sampler, 512 cycles, so the sampler
+    thrashes and the victims flip."""
+    dram = build_utrr_target(
+        {"tracker_capacity": 4, "refresh_threshold": 24}, seed=1
+    )
+    pipeline = UtrrPipeline(dram)
+    aggressors = [pipeline.aggressor(i) for i in range(5)]
+    sequence = [(0, row) for row in aggressors] * pipeline.cycles
+    victims = [dram.mapping.address_of(DramAddress(0, row + 1, 0)) for row in aggressors]
+    plant = b"\x00" * dram.geometry.row_bytes
+
+    def op():
+        for addr in victims:
+            dram.write(addr, plant)
+        dram.clock.advance(dram.refresh_interval)  # a fresh window
+        return dram.activate_burst(sequence)
+
+    assert benchmark(op)
 
 
 def test_ftl_write_path(benchmark):
