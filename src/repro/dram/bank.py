@@ -24,10 +24,11 @@ Re-applying a cell below the mark is a no-op: weak cells sit at distinct
 (byte, bit) positions, :meth:`Bank.flip_bit` only ever moves a bit toward
 its cell's ``flips_to``, and a region that was never allocated ignores
 flips.  So the victim evaluator compares disturbance against the mark and
-never re-walks cells it has already applied.  The mark is dropped (the
-row's minimum threshold applies again) whenever the row's data or check
-bytes are written or allocated; refreshes and window rollover keep it,
-since they restart disturbance but restore no flipped bit.
+never re-walks cells it has already applied.  A row without a mark is
+judged against its minimum threshold, which the evaluator then records as
+the mark.  The mark is dropped whenever the row's data or check bytes are
+written or allocated; refreshes and window rollover keep it, since they
+restart disturbance but restore no flipped bit.
 """
 
 from __future__ import annotations

@@ -35,7 +35,8 @@ assert it.
 Idempotence is also what lets the evaluator skip work: each victim row
 keeps a *flip mark* on its bank (:attr:`Bank.flip_marks
 <repro.dram.bank.Bank.flip_marks>`), the threshold of its weakest weak cell
-not applied since the row's bytes last changed other than by a flip.  The
+not applied since the row's bytes last changed other than by a flip.  A
+victim met without a mark gets its minimum threshold as the mark.  The
 evaluator compares disturbance against the mark, applying flips starts at
 the first cell at or above it, and the ordered stream does not evaluate a
 victim whose mark is ``inf`` at all.  Writes, ECC check-byte updates and
@@ -227,10 +228,6 @@ class DramModule:
         # the victim evaluator (both fixed at model construction).
         self._synergy = vulnerability.synergy
         self._neighbor2_weight = vulnerability.neighbor2_weight
-        # Direct handle on the model's memoized per-row thresholds: victim
-        # checks sit on every access, and the method-call round trip is
-        # measurable there.
-        self._min_thresholds = vulnerability._min_cache
         #: Validated per-pattern plans for :meth:`hammer`.
         self._pattern_plans: Dict[Tuple[Tuple[int, int], ...], _PatternPlan] = {}
         #: (addrs, length) -> located coordinate lists.  Attack loops probe
@@ -403,7 +400,6 @@ class DramModule:
         tracer = self.tracer
         rows_per_bank = self._rows_per_bank
         deltas = self._victim_deltas
-        thresholds = self._min_thresholds
         evaluate = self._evaluate_victim
         open_page = self.row_policy == OPEN_PAGE
         total = hits = 0
@@ -442,11 +438,9 @@ class DramModule:
                 if 0 <= victim < rows_per_bank:
                     threshold = marks.get(victim)
                     if threshold is None:
-                        threshold = thresholds.get((bank_idx, victim))
-                        if threshold is None:
-                            threshold = self.vulnerability.min_threshold(
-                                bank_idx, victim
-                            )
+                        threshold = marks[victim] = self.vulnerability.min_threshold(
+                            bank_idx, victim
+                        )
                     # Here evaluation has no other effect, so a victim
                     # whose every cell is applied is skipped.
                     if threshold != _INF:
@@ -622,7 +616,7 @@ class DramModule:
             for victim in rows:
                 threshold = marks.get(victim)
                 if threshold is None:
-                    threshold = min_threshold(bank_idx, victim)
+                    threshold = marks[victim] = min_threshold(bank_idx, victim)
                 if sampled or threshold != _INF:
                     self._evaluate_victim(bank, victim, threshold, capped, result)
 
