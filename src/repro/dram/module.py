@@ -475,8 +475,7 @@ class DramModule:
         result: Optional[HammerResult] = None,
     ) -> None:
         """Apply the flips the victim's disturbance since its last refresh
-        has earned; ``threshold`` is its flip mark, or its weakest cell's
-        when it has none.
+        has earned; ``threshold`` is its flip mark.
 
         ``capped`` is None on the ordered stream, where TRR and PARA have
         already acted on every ACT.  Where a window histogram stands in for

@@ -4,10 +4,10 @@
 victim's weakest cell re-walks its weak cells from the weakest up to the
 disturbance, and no flip mark ever moves past a row's minimum threshold.
 :class:`DramModule` starts at the victim's mark, and on the ordered stream
-does not evaluate a victim whose every cell is applied.  The property runs random operation sequences
-through both on the 64-row FRAGILE module of the batch-equivalence tests
-and requires the same flip events, stored bytes, counters and mitigation
-state.
+does not evaluate a victim whose every cell is applied.  The property runs
+random operation sequences through both on the 64-row FRAGILE module of
+the batch-equivalence tests and requires the same flip events, stored
+bytes, counters and mitigation state.
 """
 
 import numpy as np
