@@ -7,11 +7,16 @@ paper's testbed is 16 GiB of DDR3 organized as 2 channels x 2 DIMMs x
 
 All dimensions must be powers of two so the address-mapping functions can
 work on bit fields, like real memory controllers do.
+
+The fields never change after construction, so each derived size is
+computed once per instance, on first use, and then read like a field.
+Equality, hashing, ``repr`` and pickling see only the fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 from repro.errors import ConfigError
 from repro.units import GIB, KIB, is_power_of_two
@@ -47,9 +52,13 @@ class DramGeometry:
                     "DramGeometry.%s must be a power of two, got %r" % (name, value)
                 )
 
-    # -- derived sizes ----------------------------------------------------
+    def __getstate__(self):
+        # Pickle the fields only, never the cached derived sizes.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    @property
+    # -- derived sizes (computed once; see the module docstring) ------------
+
+    @cached_property
     def total_banks(self) -> int:
         """Number of independently activatable banks in the module."""
         return (
@@ -59,27 +68,27 @@ class DramGeometry:
             * self.banks_per_rank
         )
 
-    @property
+    @cached_property
     def bank_bytes(self) -> int:
         """Capacity of one bank."""
         return self.rows_per_bank * self.row_bytes
 
-    @property
+    @cached_property
     def capacity_bytes(self) -> int:
         """Total module capacity."""
         return self.total_banks * self.bank_bytes
 
-    @property
+    @cached_property
     def row_bits(self) -> int:
         """Number of row-index bits."""
         return (self.rows_per_bank - 1).bit_length()
 
-    @property
+    @cached_property
     def bank_bits(self) -> int:
         """Number of global-bank-index bits."""
         return (self.total_banks - 1).bit_length()
 
-    @property
+    @cached_property
     def column_bits(self) -> int:
         """Number of byte-offset-within-row bits."""
         return (self.row_bytes - 1).bit_length()

@@ -35,9 +35,9 @@ from repro.errors import DramAddressError
 class AddressMapping:
     """Base class: a bijection between physical addresses and coordinates.
 
-    Derived geometry quantities (masks, shifts, capacity) are cached at
-    construction: ``locate`` sits on every DRAM access and the dataclass
-    properties on :class:`DramGeometry` recompute their products per call.
+    The masks, shifts and capacity are copied onto the mapping at
+    construction: :meth:`locate3` sits under every DRAM access, and a
+    local attribute is one lookup where ``self.geometry.row_bits`` is two.
     """
 
     #: Short identifier used in profiles and reports.
@@ -159,7 +159,7 @@ class XorBankMapping(AddressMapping):
     name = "xor-bank"
 
     def _field_to_row(self, field: int) -> int:
-        bits = self.geometry.row_bits
+        bits = self._row_bits
         if bits <= 1:
             return field
         msb = (field >> (bits - 1)) & 1
@@ -172,7 +172,7 @@ class XorBankMapping(AddressMapping):
         return rotated
 
     def _row_to_field(self, row: int) -> int:
-        bits = self.geometry.row_bits
+        bits = self._row_bits
         if bits <= 1:
             return row
         rotated = row

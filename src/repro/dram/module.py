@@ -214,8 +214,8 @@ class DramModule:
         self.banks = [Bank(i, geometry, ecc_enabled=ecc) for i in range(geometry.total_banks)]
         #: Every flip that changed stored state, in time order.
         self.flips: List[FlipEvent] = []
-        # Cached geometry scalars: the dataclass properties recompute their
-        # products on every call, which adds up on per-access paths.
+        # Geometry scalars copied onto the module: one attribute lookup on
+        # the per-access paths instead of two.
         self._capacity = geometry.capacity_bytes
         self._row_bytes = geometry.row_bytes
         self._rows_per_bank = geometry.rows_per_bank
@@ -250,22 +250,27 @@ class DramModule:
     # address plumbing
     # ------------------------------------------------------------------
 
-    def _segments(self, phys_addr: int, length: int) -> Iterable[Tuple[int, int, int, int]]:
-        """Split a byte span into per-row segments (bank, row, column, len)."""
+    def _segments(self, phys_addr: int, length: int) -> List[Tuple[int, int, int, int]]:
+        """Split a byte span into per-row segments (bank, row, column, len);
+        each segment lies inside its row."""
         if length < 0:
             raise DramAddressError("negative length")
         if phys_addr < 0 or phys_addr + length > self._capacity:
             raise DramAddressError(
                 "span [0x%x, 0x%x) exceeds module" % (phys_addr, phys_addr + length)
             )
-        offset = phys_addr
-        remaining = length
-        while remaining > 0:
-            coords = self.mapping.locate(offset)
-            chunk = min(remaining, self._row_bytes - coords.column)
-            yield coords.bank, coords.row, coords.column, chunk
-            offset += chunk
-            remaining -= chunk
+        locate3 = self.mapping.locate3
+        row_bytes = self._row_bytes
+        segments = []
+        while length > 0:
+            bank_idx, row, column = locate3(phys_addr)
+            chunk = row_bytes - column
+            if chunk > length:
+                chunk = length
+            segments.append((bank_idx, row, column, chunk))
+            phys_addr += chunk
+            length -= chunk
+        return segments
 
     def _check_addresses(self, pairs: Iterable[Tuple[int, int]]) -> None:
         """Raise :class:`DramAddressError` unless every (bank, row) exists."""
@@ -285,22 +290,27 @@ class DramModule:
 
     def read(self, phys_addr: int, length: int) -> bytes:
         """Read bytes; activates rows and may observe/correct flips."""
-        self._reads.add()
+        self._reads.value += 1
         if self.tracer is not None:
             self.tracer.emit("dram.access", op="r", count=1, addr=phys_addr, len=length)
-        out = bytearray()
+        parts = []
         for bank_idx, row, column, chunk in self._segments(phys_addr, length):
             self._stream(((bank_idx, row),))
             bank = self.banks[bank_idx]
             if self.ecc_enabled:
-                out += self._read_ecc(bank, row, column, chunk)
+                parts.append(self._read_ecc(bank, row, column, chunk))
+                continue
+            # The segment lies inside its row; an unwritten row reads zeros.
+            array = bank.data_rows.get(row)
+            if array is None:
+                parts.append(b"\x00" * chunk)
             else:
-                out += bank.read(row, column, chunk).tobytes()
-        return bytes(out)
+                parts.append(array[column : column + chunk].tobytes())
+        return b"".join(parts)
 
     def write(self, phys_addr: int, data: bytes) -> None:
         """Write bytes; activates rows; refreshes any pending flips away."""
-        self._writes.add()
+        self._writes.value += 1
         if self.tracer is not None:
             self.tracer.emit("dram.access", op="w", count=1, addr=phys_addr, len=len(data))
         view = np.frombuffer(bytes(data), dtype=np.uint8)
@@ -925,14 +935,14 @@ class DramModule:
         not applied either — ``inspect`` sees exactly what a refresh-
         preserving probe would.
         """
-        out = bytearray()
+        parts = []
         for bank_idx, row, column, chunk in self._segments(phys_addr, length):
             array = self.banks[bank_idx].data_rows.get(row)
             if array is None:
-                out += b"\x00" * chunk
+                parts.append(b"\x00" * chunk)
             else:
-                out += array[column : column + chunk].tobytes()
-        return bytes(out)
+                parts.append(array[column : column + chunk].tobytes())
+        return b"".join(parts)
 
     def check(self) -> None:
         """Verify the module's internal invariants (refresh-window

@@ -32,6 +32,12 @@ class FlashArray:
         tracer=None,
     ):
         self.geometry = geometry
+        # PPAs are plane-major, so each chip holds one contiguous run of
+        # blocks and pages; addressing needs only these extents.
+        self._total_pages = geometry.total_pages
+        self._pages_per_block = geometry.pages_per_block
+        self._blocks_per_chip = geometry.planes_per_chip * geometry.blocks_per_plane
+        self._pages_per_chip = self._blocks_per_chip * geometry.pages_per_block
         self.timing = timing
         self.metrics = metrics or MetricRegistry("flash")
         #: Optional fault-injection plane (see :mod:`repro.faults`).
@@ -41,7 +47,7 @@ class FlashArray:
         self.chips = [
             FlashChip(
                 index=i,
-                blocks=geometry.planes_per_chip * geometry.blocks_per_plane,
+                blocks=self._blocks_per_chip,
                 pages_per_block=geometry.pages_per_block,
                 page_bytes=geometry.page_bytes,
                 timing=timing,
@@ -54,17 +60,22 @@ class FlashArray:
     # -- addressing -----------------------------------------------------------
 
     def _chip_block_page(self, ppa: int) -> Tuple[FlashChip, int, int]:
-        coords = self.geometry.decompose(ppa)
-        chip = self.chips[coords.channel * self.geometry.chips_per_channel + coords.chip]
-        block_on_chip = coords.plane * self.geometry.blocks_per_plane + coords.block
-        return chip, block_on_chip, coords.page
+        """(chip, block on chip, page) of a PPA: the coordinates of
+        :meth:`FlashGeometry.decompose`, with its range check and message,
+        from two divisions."""
+        if not 0 <= ppa < self._total_pages:
+            raise FlashAddressError(
+                "PPA %d outside array of %d pages" % (ppa, self._total_pages)
+            )
+        chip, offset = divmod(ppa, self._pages_per_chip)
+        block_on_chip, page = divmod(offset, self._pages_per_block)
+        return self.chips[chip], block_on_chip, page
 
     def _chip_block(self, global_block: int) -> Tuple[FlashChip, int]:
         if not 0 <= global_block < self.geometry.total_blocks:
             raise FlashAddressError("block %d out of range" % global_block)
-        ppa = self.geometry.first_ppa_of_block(global_block)
-        chip, block_on_chip, _page = self._chip_block_page(ppa)
-        return chip, block_on_chip
+        chip, block_on_chip = divmod(global_block, self._blocks_per_chip)
+        return self.chips[chip], block_on_chip
 
     def block_object(self, global_block: int) -> Block:
         """The :class:`Block` behind a global block index (recovery scans

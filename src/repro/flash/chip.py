@@ -62,14 +62,14 @@ class FlashChip:
         return self.blocks[block]
 
     def read(self, block: int, page: int) -> bytes:
-        self._reads.add()
+        self._reads.value += 1
         self.busy_time += self.timing.read_page
         return self._block(block).read(page)
 
     def program(
         self, block: int, page: int, data: bytes, oob: Optional[PageOob] = None
     ) -> None:
-        self._programs.add()
+        self._programs.value += 1
         self.busy_time += self.timing.program_page
         self._block(block).program(page, data, oob=oob)
 

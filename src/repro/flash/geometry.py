@@ -7,11 +7,16 @@ The hierarchy is ``channels x chips x planes x blocks x pages``.  A flat
           * pages_per_block + page
 
 :class:`PageAddress` carries the decomposed coordinates.
+
+The fields never change after construction, so each derived size is
+computed once per instance, on first use, and then read like a field.
+Equality, hashing, ``repr`` and pickling see only the fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 from repro.errors import ConfigError, FlashAddressError
 from repro.units import KIB
@@ -51,29 +56,33 @@ class FlashGeometry:
             if getattr(self, name) <= 0:
                 raise ConfigError("FlashGeometry.%s must be positive" % name)
 
-    # -- derived sizes ----------------------------------------------------
+    def __getstate__(self):
+        # Pickle the fields only, never the cached derived sizes.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    @property
+    # -- derived sizes (computed once; see the module docstring) ------------
+
+    @cached_property
     def total_chips(self) -> int:
         return self.channels * self.chips_per_channel
 
-    @property
+    @cached_property
     def total_planes(self) -> int:
         return self.total_chips * self.planes_per_chip
 
-    @property
+    @cached_property
     def total_blocks(self) -> int:
         return self.total_planes * self.blocks_per_plane
 
-    @property
+    @cached_property
     def total_pages(self) -> int:
         return self.total_blocks * self.pages_per_block
 
-    @property
+    @cached_property
     def block_bytes(self) -> int:
         return self.pages_per_block * self.page_bytes
 
-    @property
+    @cached_property
     def capacity_bytes(self) -> int:
         return self.total_pages * self.page_bytes
 

@@ -219,7 +219,7 @@ class PageMappingFtl:
         """Translate and read one logical page."""
         self._check_live()
         self._check_lba(lba)
-        self._host_reads.add()
+        self._host_reads.value += 1
         if self.write_buffer is not None and self.write_buffer.contains(lba):
             # Served straight from the DRAM staging area — including any
             # disturbance damage the staged bytes picked up.
@@ -232,7 +232,7 @@ class PageMappingFtl:
         if ppa is None:
             # Unmapped/trimmed: the device answers immediately without
             # touching flash — the fast path the attacker hammers through.
-            self._unmapped_reads.add()
+            self._unmapped_reads.value += 1
             if self.tracer is not None:
                 self.tracer.emit("ftl.read", lba=lba, mapped=False)
             return ReadResult(b"\x00" * self.page_bytes, mapped=False, flash_time=0.0)
@@ -283,7 +283,7 @@ class PageMappingFtl:
             raise ConfigError(
                 "write payload must be %d bytes, got %d" % (self.page_bytes, len(data))
             )
-        self._host_writes.add()
+        self._host_writes.value += 1
         if self.write_buffer is not None:
             self.write_buffer.stage(lba, data)
             if self.tracer is not None:
@@ -324,8 +324,9 @@ class PageMappingFtl:
                 attempts += 1
                 if attempts >= 3:
                     raise
+        block = self.flash.geometry.block_of_ppa(ppa)
         self.write_sequence += 1
-        self.block_mtime[self.flash.geometry.block_of_ppa(ppa)] = self.write_sequence
+        self.block_mtime[block] = self.write_sequence
         if self.config.dif:
             from repro.ext4.crc32c import crc32c
 
@@ -333,7 +334,7 @@ class PageMappingFtl:
         self._invalidate(lba, self.l2p.lookup(lba))
         self.l2p.update(lba, ppa)
         self.reverse[ppa] = lba
-        self.valid_count[self.flash.geometry.block_of_ppa(ppa)] += 1
+        self.valid_count[block] += 1
         flash_time = self.flash.timing.program_page
         if gc_stats is not None:
             flash_time += gc_stats.flash_time
@@ -349,7 +350,7 @@ class PageMappingFtl:
         self._check_live()
         self._check_writable()
         self._check_lba(lba)
-        self._host_trims.add()
+        self._host_trims.value += 1
         if self.tracer is not None:
             self.tracer.emit("ftl.trim", lba=lba)
         if self.write_buffer is not None:

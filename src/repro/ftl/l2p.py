@@ -75,9 +75,8 @@ class L2pTable:
 
         This is the function an attacker reverse engineers: combined with
         the controller's DRAM mapping it tells which DRAM row an LBA's
-        mapping lives in.
+        mapping lives in.  :meth:`slot_of` checks the LBA.
         """
-        self._check_lba(lba)
         return self.base_addr + ENTRY_BYTES * self.slot_of(lba)
 
     # -- operations ------------------------------------------------------------

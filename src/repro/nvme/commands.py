@@ -55,7 +55,7 @@ class NvmeCommand:
     nsid: int
     lba: int = 0
     data: Optional[bytes] = None
-    command_id: int = field(default_factory=lambda: next(_command_ids))
+    command_id: int = field(default_factory=_command_ids.__next__)
 
     def __post_init__(self) -> None:
         if self.opcode is Opcode.WRITE and self.data is None:

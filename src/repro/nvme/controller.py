@@ -226,7 +226,7 @@ class NvmeController:
         return completion
 
     def _submit(self, command: NvmeCommand) -> NvmeCompletion:
-        self._commands.add()
+        self._commands.value += 1
         namespace = self.namespaces.get(command.nsid)
         if namespace is None:
             self._errors.add()
@@ -243,7 +243,10 @@ class NvmeController:
             if delay:
                 self.clock.advance(delay)
 
-        activations_before = self._dram_activations()
+        # The activation count feeds only the row-miss penalty, so it is
+        # read only when the penalty is on.
+        penalty = self.timing.row_miss_penalty
+        activations_before = self._dram_activations() if penalty else 0
         try:
             data, flash_time = self._execute(command, device_lba)
         except EccUncorrectableError:
@@ -271,9 +274,9 @@ class NvmeController:
             return self._fail(command, StatusCode.READ_ONLY, delay)
 
         cost = self.timing.base_command_time + flash_time / self.timing.flash_parallelism
-        if self.timing.row_miss_penalty:
+        if penalty:
             misses = self._dram_activations() - activations_before
-            cost += self.timing.row_miss_penalty * misses
+            cost += penalty * misses
         self.clock.advance(cost)
         return NvmeCompletion(
             command.command_id, StatusCode.SUCCESS, data=data, latency=cost + delay

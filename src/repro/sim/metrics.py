@@ -18,9 +18,9 @@ class Counter:
     is slotted (no per-instance dict) and batched increments (``add(n)``)
     are preferred over per-I/O ``add()`` calls wherever a caller knows the
     batch size up front.  The very hottest paths (the DRAM access loop, the
-    burst engines) may bump :attr:`value` directly when the amount is
-    non-negative by construction — the method call itself is measurable
-    there.
+    burst engines, the per-command path) may bump :attr:`value` directly
+    when the amount is non-negative by construction — the method call
+    itself is measurable there.
     """
 
     __slots__ = ("name", "value")

@@ -1,6 +1,10 @@
 """Tests for DRAM geometry."""
 
+import pickle
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dram import DramGeometry
 from repro.errors import ConfigError
@@ -63,3 +67,41 @@ class TestDramGeometry:
         geometry = DramGeometry.small()
         with pytest.raises(Exception):
             geometry.channels = 4
+
+    @given(geometry=st.builds(
+        DramGeometry,
+        channels=st.sampled_from([1, 2, 4]),
+        dimms_per_channel=st.sampled_from([1, 2]),
+        ranks_per_dimm=st.sampled_from([1, 2]),
+        banks_per_rank=st.sampled_from([1, 4, 8, 16]),
+        rows_per_bank=st.sampled_from([1, 2, 4, 64, 2 ** 15]),
+        row_bytes=st.sampled_from([1, 64, KIB, 8 * KIB]),
+    ))
+    @settings(max_examples=100)
+    def test_derived_sizes_are_their_products(self, geometry):
+        banks = (
+            geometry.channels
+            * geometry.dimms_per_channel
+            * geometry.ranks_per_dimm
+            * geometry.banks_per_rank
+        )
+        assert geometry.total_banks == banks
+        assert geometry.bank_bytes == geometry.rows_per_bank * geometry.row_bytes
+        assert geometry.capacity_bytes == banks * geometry.rows_per_bank * geometry.row_bytes
+        assert 2 ** geometry.row_bits == geometry.rows_per_bank
+        assert 2 ** geometry.bank_bits == banks
+        assert 2 ** geometry.column_bits == geometry.row_bytes
+
+    def test_cached_sizes_leave_equality_hash_and_pickle_alone(self):
+        # The defaults are the paper's testbed; ``fresh`` has read no size.
+        read, fresh = DramGeometry.paper_testbed(), DramGeometry()
+        for name in ("total_banks", "bank_bytes", "capacity_bytes",
+                     "row_bits", "bank_bits", "column_bits"):
+            getattr(read, name)
+        assert read == fresh
+        assert hash(read) == hash(fresh)
+        assert repr(read) == repr(fresh)
+        assert pickle.dumps(read) == pickle.dumps(fresh)
+        clone = pickle.loads(pickle.dumps(read))
+        assert clone == read and hash(clone) == hash(read)
+        assert clone.capacity_bytes == 16 * GIB

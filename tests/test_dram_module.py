@@ -2,6 +2,8 @@
 the exact-vs-batch hammering equivalence (design decision D4)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dram import (
     DramAddress,
@@ -13,6 +15,7 @@ from repro.dram import (
     VulnerabilityModel,
 )
 from repro.dram.bank import CLOSED_PAGE
+from repro.dram.mapping import MAPPINGS, make_mapping
 from repro.errors import ConfigError, DramAddressError, EccUncorrectableError
 from repro.sim import SimClock
 
@@ -96,6 +99,69 @@ class TestAccessPath:
             dram.read(a, 4)
             dram.read(b, 4)
         assert dram.metrics.counter("activations").value == 10
+
+
+def locate_segments(mapping, phys_addr, length):
+    """The reference split: one :meth:`AddressMapping.locate` per row."""
+    segments = []
+    while length > 0:
+        coords = mapping.locate(phys_addr)
+        chunk = min(length, GEOMETRY.row_bytes - coords.column)
+        segments.append((coords.bank, coords.row, coords.column, chunk))
+        phys_addr += chunk
+        length -= chunk
+    return segments
+
+
+class TestSegments:
+    """``_segments`` splits spans with plain integers; the ``locate``
+    split is its reference."""
+
+    @given(
+        name=st.sampled_from(sorted(MAPPINGS)),
+        data=st.data(),
+        length=st.integers(min_value=0, max_value=3 * GEOMETRY.row_bytes),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_locate_split(self, name, data, length):
+        dram = make_module(mapping=make_mapping(name, GEOMETRY))
+        phys_addr = data.draw(
+            st.integers(min_value=0, max_value=GEOMETRY.capacity_bytes - length)
+        )
+        assert dram._segments(phys_addr, length) == locate_segments(
+            dram.mapping, phys_addr, length
+        )
+
+    @pytest.mark.parametrize("name", sorted(MAPPINGS))
+    def test_row_crossing_spans(self, name):
+        dram = make_module(mapping=make_mapping(name, GEOMETRY))
+        row_bytes = GEOMETRY.row_bytes
+        for phys_addr, length in (
+            (row_bytes - 4, 8),
+            (row_bytes - 1, 2 * row_bytes + 2),
+            (GEOMETRY.capacity_bytes - row_bytes - 3, row_bytes + 3),
+        ):
+            segments = dram._segments(phys_addr, length)
+            assert len(segments) >= 2
+            assert segments == locate_segments(dram.mapping, phys_addr, length)
+            assert sum(chunk for *_coords, chunk in segments) == length
+
+    @pytest.mark.parametrize("name", sorted(MAPPINGS))
+    def test_capacity_error(self, name):
+        dram = make_module(mapping=make_mapping(name, GEOMETRY))
+        capacity = GEOMETRY.capacity_bytes
+        message = r"span \[0x%x, 0x%x\) exceeds module" % (capacity - 4, capacity + 4)
+        with pytest.raises(DramAddressError, match=message):
+            dram._segments(capacity - 4, 8)
+        with pytest.raises(DramAddressError, match="exceeds module"):
+            dram._segments(-1, 1)
+        with pytest.raises(DramAddressError, match="negative length"):
+            dram._segments(0, -1)
+        with pytest.raises(DramAddressError):
+            dram.mapping.locate(capacity)
+        assert dram._segments(capacity - 4, 4) == locate_segments(
+            dram.mapping, capacity - 4, 4
+        )
 
 
 class TestExactPathFlips:

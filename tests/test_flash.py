@@ -1,5 +1,8 @@
 """Tests for the NAND flash substrate."""
 
+import pickle
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -67,6 +70,114 @@ class TestGeometry:
         base = FlashGeometry()
         bigger = FlashGeometry.for_capacity(base.capacity_bytes * 3)
         assert bigger.capacity_bytes >= base.capacity_bytes * 3
+
+    @given(geometry=st.builds(
+        FlashGeometry,
+        channels=st.integers(1, 8),
+        chips_per_channel=st.integers(1, 8),
+        planes_per_chip=st.integers(1, 4),
+        blocks_per_plane=st.integers(1, 4096),
+        pages_per_block=st.integers(1, 256),
+        page_bytes=st.integers(1, 16384),
+    ))
+    @settings(max_examples=100)
+    def test_derived_sizes_are_their_products(self, geometry):
+        chips = geometry.channels * geometry.chips_per_channel
+        planes = chips * geometry.planes_per_chip
+        blocks = planes * geometry.blocks_per_plane
+        pages = blocks * geometry.pages_per_block
+        assert geometry.total_chips == chips
+        assert geometry.total_planes == planes
+        assert geometry.total_blocks == blocks
+        assert geometry.total_pages == pages
+        assert geometry.block_bytes == geometry.pages_per_block * geometry.page_bytes
+        assert geometry.capacity_bytes == pages * geometry.page_bytes
+
+    def test_cached_sizes_leave_equality_hash_and_pickle_alone(self):
+        read, fresh = FlashGeometry(), FlashGeometry()
+        for name in ("total_chips", "total_planes", "total_blocks",
+                     "total_pages", "block_bytes", "capacity_bytes"):
+            getattr(read, name)
+        assert read == fresh
+        assert hash(read) == hash(fresh)
+        assert repr(read) == repr(fresh)
+        assert pickle.dumps(read) == pickle.dumps(fresh)
+        clone = pickle.loads(pickle.dumps(read))
+        assert clone == read and hash(clone) == hash(read)
+        assert clone.total_pages == read.total_pages
+
+
+def _serve_geometry():
+    """The flash geometry of the serving scenarios' device."""
+    from repro.testkit.fixtures import build_stack
+
+    _controller, _dram, ftl = build_stack(num_lbas=2048)
+    return ftl.flash.geometry
+
+
+@lru_cache(maxsize=32)
+def _array(geometry):
+    return FlashArray(geometry)
+
+
+def _decomposed(geometry, ppa):
+    """The reference: (chip, block on chip, page) from ``decompose``."""
+    coords = geometry.decompose(ppa)
+    return (
+        coords.channel * geometry.chips_per_channel + coords.chip,
+        coords.plane * geometry.blocks_per_plane + coords.block,
+        coords.page,
+    )
+
+
+FLASH_GEOMETRIES = st.one_of(
+    st.sampled_from([
+        SMALL,
+        FlashGeometry(),
+        FlashGeometry.for_capacity(3 * FlashGeometry().capacity_bytes),
+        _serve_geometry(),
+    ]),
+    st.builds(
+        FlashGeometry,
+        channels=st.integers(1, 4),
+        chips_per_channel=st.integers(1, 3),
+        planes_per_chip=st.integers(1, 3),
+        blocks_per_plane=st.integers(1, 7),
+        pages_per_block=st.integers(1, 9),
+        page_bytes=st.just(16),
+    ),
+)
+
+
+class TestArrayAddressing:
+    """``_chip_block_page`` divides by extents cached on the array; the
+    ``decompose`` coordinates are its reference."""
+
+    @given(geometry=FLASH_GEOMETRIES, data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_chip_block_page_matches_decompose(self, geometry, data):
+        array = _array(geometry)
+        ppa = data.draw(st.integers(0, geometry.total_pages - 1))
+        chip, block, page = array._chip_block_page(ppa)
+        assert chip is array.chips[chip.index]
+        assert (chip.index, block, page) == _decomposed(geometry, ppa)
+        global_block = geometry.block_of_ppa(ppa)
+        chip_of_block, block_on_chip = array._chip_block(global_block)
+        assert (chip_of_block, block_on_chip) == (chip, block)
+
+    @given(geometry=FLASH_GEOMETRIES)
+    @settings(max_examples=50, deadline=None)
+    def test_out_of_range_matches_decompose(self, geometry):
+        array = _array(geometry)
+        for ppa in (-1, geometry.total_pages):
+            with pytest.raises(FlashAddressError) as expected:
+                geometry.decompose(ppa)
+            with pytest.raises(FlashAddressError) as got:
+                array._chip_block_page(ppa)
+            assert str(got.value) == str(expected.value)
+            assert str(got.value) == "PPA %d outside array of %d pages" % (
+                ppa, geometry.total_pages
+            )
 
 
 class TestBlock:
