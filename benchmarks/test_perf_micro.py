@@ -120,6 +120,21 @@ def test_ftl_write_path(benchmark):
     benchmark(op)
 
 
+def test_nvme_read_path(benchmark):
+    """One mapped read per call, NVMe command to NAND page: the read twin
+    of :func:`test_ftl_write_path`."""
+    controller, _, _ = build_stack(num_lbas=1024)
+    controller.create_namespace(1, 0, 1024)
+    payload = b"r" * 512
+    controller.write_burst(1, list(range(1024)), payload)
+    counter = iter(range(10 ** 9))
+
+    def op():
+        return controller.read(1, next(counter) % 1024)
+
+    assert benchmark(op) == payload
+
+
 def test_nvme_read_burst(benchmark):
     controller, _, _ = build_stack(num_lbas=1024)
     controller.create_namespace(1, 0, 1024)
