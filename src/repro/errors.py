@@ -95,10 +95,6 @@ class FtlCapacityError(FtlError):
     """The FTL ran out of writable space (even after garbage collection)."""
 
 
-class FtlUnmappedError(FtlError):
-    """A read hit an LBA that has never been written (or was trimmed)."""
-
-
 class PowerLossInterrupt(ReproError):
     """Simulated power loss cut the device off mid-flash-operation.
 
@@ -126,10 +122,6 @@ class NvmeError(ReproError):
 
 class NvmeNamespaceError(NvmeError):
     """Unknown namespace, or an LBA outside the namespace's range."""
-
-
-class NvmeRateLimitError(NvmeError):
-    """A command was rejected by the IOPS rate limiter mitigation."""
 
 
 class FsError(ReproError):

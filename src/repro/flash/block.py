@@ -67,10 +67,6 @@ class Block:
     def is_full(self) -> bool:
         return self.write_pointer >= self.pages_per_block
 
-    @property
-    def programmed_pages(self) -> int:
-        return len(self._data)
-
     def oob(self, page: int) -> Optional[PageOob]:
         """OOB metadata of a page; None when erased or programmed bare."""
         self._check_page(page)
