@@ -159,6 +159,27 @@ def test_fs_write_read(benchmark):
     assert benchmark(op) == b"benchmark file payload"
 
 
+def test_fs_create_unlink(benchmark):
+    """One create plus unlink in a directory of 64 files: the spray's
+    directory path.  Every round leaves a tombstone, so the directory
+    grows; a fixed number of rounds times the same sequence of
+    directories on every revision."""
+    controller, _, _ = build_stack(num_lbas=2048)
+    controller.create_namespace(1, 0, 2048)
+    fs = Ext4Fs.mkfs(BlockDevice(controller, 1))
+    for index in range(64):
+        fs.create("/.spray-c00-%06d" % index, ALICE)
+    counter = iter(range(10 ** 9))
+
+    def op():
+        path = "/.spray-c01-%06d" % next(counter)
+        fs.create(path, ALICE)
+        fs.unlink(path, ALICE)
+
+    benchmark.pedantic(op, rounds=200, warmup_rounds=10)
+    assert len(fs.listdir("/", ALICE)) == 64
+
+
 # -- the §5 defenses' kernels, at the sizes the stack calls them with ----
 
 
@@ -167,8 +188,14 @@ def test_crc32c_page(benchmark):
 
 
 def test_encrypt_block_page(benchmark):
+    """A fresh LBA each round, so every round computes its keystream."""
     key = TenantKey.derive("victim")
-    assert len(benchmark(encrypt_block, key, 1234, PAGE)) == len(PAGE)
+    lbas = iter(range(10 ** 9))
+
+    def op():
+        return encrypt_block(key, next(lbas), PAGE)
+
+    assert len(benchmark(op)) == len(PAGE)
 
 
 def test_secded_encode_one_word(benchmark):

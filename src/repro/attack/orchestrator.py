@@ -88,10 +88,6 @@ class AttackResult:
         return any(leak.category != "empty" for leak in self.leaks)
 
     @property
-    def sensitive_leaks(self) -> List[LeakRecord]:
-        return [leak for leak in self.leaks if leak.sensitive]
-
-    @property
     def total_hits(self) -> int:
         return sum(len(cycle.hits) for cycle in self.cycles)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import (
     FsCorruptionError,
@@ -110,6 +110,10 @@ class Ext4Fs:
         #: (parent_ino, name) -> ino lookup cache (a dentry cache; the disk
         #: stays authoritative and misses fall back to scanning).
         self._dcache: Dict[Tuple[int, str], int] = {}
+        #: physical block -> its last parsed directory block.  Every use
+        #: still reads the block; the parse is reused only while the bytes
+        #: read equal the bytes it was made from.
+        self._dblocks: Dict[int, DirectoryBlock] = {}
 
     # ------------------------------------------------------------------
     # formatting and mounting
@@ -314,21 +318,26 @@ class Ext4Fs:
         if cached is not None:
             return cached
         inode = self._read_inode(dir_ino)
-        for block_data in self._iter_dir_blocks(inode):
-            found = DirectoryBlock(block_data).find(name)
+        for _physical, block in self._iter_dir_blocks(inode):
+            found = block.find(name)
             if found is not None:
                 self._dcache[(dir_ino, name)] = found
                 return found
         return None
 
-    def _iter_dir_blocks(self, inode: Inode):
+    def _iter_dir_blocks(self, inode: Inode) -> Iterator[Tuple[int, DirectoryBlock]]:
+        """(physical block, parsed block) for each directory block, read
+        from the device in logical order; holes hold no entries."""
         count = -(-inode.size // self.block_bytes)
         for logical in range(count):
             physical = self._block_lookup(inode, logical)
             if physical == NO_BLOCK:
-                yield b"\x00" * self.block_bytes
-            else:
-                yield self.device.read_block(physical)
+                continue
+            raw = self.device.read_block(physical)
+            block = self._dblocks.get(physical)
+            if block is None or block.data != raw:
+                block = self._dblocks[physical] = DirectoryBlock(raw)
+            yield physical, block
 
     def _resolve(self, path: str, cred: Credentials) -> int:
         parts = self._split(path)
@@ -358,17 +367,13 @@ class Ext4Fs:
 
     def _dir_add(self, dir_ino: int, name: str, ino: int) -> None:
         inode = self._read_inode(dir_ino)
-        count = -(-inode.size // self.block_bytes)
-        for logical in range(count):
-            physical = self._block_lookup(inode, logical)
-            if physical == NO_BLOCK:
-                continue
-            block = DirectoryBlock(self.device.read_block(physical))
+        for physical, block in self._iter_dir_blocks(inode):
             if block.append(ino, name):
                 self.device.write_block(physical, block.to_bytes())
                 self._dcache[(dir_ino, name)] = ino
                 return
         # Need a fresh directory block.
+        count = -(-inode.size // self.block_bytes)
         physical = self._block_allocate_for(inode, count)
         block = DirectoryBlock(b"\x00" * self.block_bytes)
         if not block.append(ino, name):
@@ -380,12 +385,7 @@ class Ext4Fs:
 
     def _dir_remove(self, dir_ino: int, name: str) -> None:
         inode = self._read_inode(dir_ino)
-        count = -(-inode.size // self.block_bytes)
-        for logical in range(count):
-            physical = self._block_lookup(inode, logical)
-            if physical == NO_BLOCK:
-                continue
-            block = DirectoryBlock(self.device.read_block(physical))
+        for physical, block in self._iter_dir_blocks(inode):
             if block.remove(name):
                 self.device.write_block(physical, block.to_bytes())
                 self._dcache.pop((dir_ino, name), None)
@@ -520,8 +520,8 @@ class Ext4Fs:
         if not may_read(inode.permissions, inode.uid, inode.gid, cred):
             raise FsPermissionError("no read permission on %r" % path)
         names: List[str] = []
-        for block_data in self._iter_dir_blocks(inode):
-            names.extend(name for _ino, name in DirectoryBlock(block_data).live_entries())
+        for _physical, block in self._iter_dir_blocks(inode):
+            names.extend(name for _ino, name in block.live_entries())
         return names
 
     def unlink(self, path: str, cred: Credentials) -> None:

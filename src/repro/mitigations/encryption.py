@@ -14,6 +14,7 @@ experiment exercises.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 
@@ -33,22 +34,33 @@ class TenantKey:
         return cls(tenant=tenant, secret=digest)
 
 
-def encrypt_block(key: TenantKey, lba: int, plaintext: bytes) -> bytes:
-    """Tweakable encryption of one block.
+#: Keystreams kept for reuse, least recently used evicted first.  A
+#: filesystem reads back the blocks it just wrote, so most calls repeat a
+#: recent (key, LBA); 256 page-sized streams hold about 1.2 MB.
+KEYSTREAM_MEMO = 256
 
-    The keystream is ``SHA-256(secret || lba || counter)`` for counters
-    0, 1, ... (``lba`` as 8 bytes and ``counter`` as 4, little-endian),
-    cut to the block's length.  The (key, LBA) prefix is hashed once and
-    each 32-byte chunk continues from a copy of that state.
-    """
-    size = len(plaintext)
-    seeded = hashlib.sha256(key.secret + lba.to_bytes(8, "little"))
+
+@functools.lru_cache(maxsize=KEYSTREAM_MEMO)
+def _keystream(secret: bytes, lba: int, size: int) -> int:
+    """``SHA-256(secret || lba || counter)`` for counters 0, 1, ...
+    (``lba`` as 8 bytes and ``counter`` as 4, little-endian), cut to
+    ``size`` bytes, as a little-endian integer.  The (key, LBA) prefix is
+    hashed once and each 32-byte chunk continues from a copy of that
+    state."""
+    seeded = hashlib.sha256(secret + lba.to_bytes(8, "little"))
     chunks = []
     for counter in range(-(-size // 32)):
         chunk = seeded.copy()
         chunk.update(counter.to_bytes(4, "little"))
         chunks.append(chunk.digest())
-    stream = int.from_bytes(b"".join(chunks)[:size], "little")
+    return int.from_bytes(b"".join(chunks)[:size], "little")
+
+
+def encrypt_block(key: TenantKey, lba: int, plaintext: bytes) -> bytes:
+    """Tweakable encryption of one block: XOR with the keystream of
+    (key, LBA), cut to the block's length."""
+    size = len(plaintext)
+    stream = _keystream(key.secret, lba, size)
     return (int.from_bytes(plaintext, "little") ^ stream).to_bytes(size, "little")
 
 

@@ -136,11 +136,6 @@ class NvmeController:
         self.namespaces: Dict[int, Namespace] = {}
         self._commands = self.metrics.counter("commands")
         self._errors = self.metrics.counter("errors")
-        # Timing scalars, cached off the frozen dataclasses: the burst path
-        # re-reads them per call and the attribute chains add up.
-        self._base_time = timing.base_command_time
-        self._parallelism = timing.flash_parallelism
-        self._read_page_time = ftl.flash.timing.read_page
         #: Burst setup cache: (nsid, lbas) -> (device_lbas, entry_addrs,
         #: activation pattern as tuple (hammer-plan key) and as list
         #: (result field), pattern-has-multiple-rows).  All are pure
@@ -468,9 +463,12 @@ class NvmeController:
             for i in range(0, ENTRY_BYTES * n_lbas, ENTRY_BYTES)
             if raw[i : i + ENTRY_BYTES] != unmapped_raw
         )
+        # Priced with the timing in force now: callers may reassign
+        # ``self.timing`` after construction.
+        timing = self.timing
         pass_cost = (
-            self._base_time * n_lbas
-            + mapped_count * self._read_page_time / self._parallelism
+            timing.base_command_time * n_lbas
+            + mapped_count * self.ftl.flash.timing.read_page / timing.flash_parallelism
         )
         io_rate = n_lbas / pass_cost
         if host_iops_cap is not None:
@@ -479,7 +477,7 @@ class NvmeController:
             io_rate = self.rate_limiter.effective_rate(io_rate)
 
         total_ios = repeats * n_lbas
-        amplification = self.timing.hammer_amplification
+        amplification = timing.hammer_amplification
         activation_rate = io_rate * amplification
         self._commands.value += total_ios
 

@@ -405,6 +405,7 @@ def check_fs(fs) -> None:
                 physical = fs._block_lookup(inode, logical)
                 if physical == NO_BLOCK:
                     continue
+                # Its own parse of the bytes read, not the filesystem's.
                 entries = DirectoryBlock(
                     fs.device.read_block(physical)
                 ).live_entries()

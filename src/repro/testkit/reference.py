@@ -80,9 +80,6 @@ class ShadowStore:
         self._check(lba)
         return self._data.get(lba)
 
-    def written_lbas(self) -> List[int]:
-        return sorted(self._data)
-
     def _check(self, lba: int) -> None:
         if not 0 <= lba < self.num_lbas:
             raise ValueError("shadow store: LBA %d outside %d" % (lba, self.num_lbas))
@@ -179,10 +176,6 @@ class ShadowTrr:
         self.triggers: Dict[Tuple[int, int], int] = {}
         self.refreshes_issued = 0
 
-    def would_refresh(self, bank: int, row: int) -> bool:
-        """Whether the *next* activation of (bank, row) would trigger."""
-        return self.counts.get((bank, row), 0) + 1 >= self.refresh_threshold
-
     def on_activation(self, bank: int, row: int) -> List[int]:
         """Account one activation; returns victim rows when triggering
         (the same protocol as the real sampler)."""
@@ -205,9 +198,6 @@ class ShadowTrr:
             del self.counts[key]
         for key in [k for k in self.triggers if k[0] == bank]:
             del self.triggers[key]
-
-    def trigger_count(self, bank: int, row: int) -> int:
-        return self.triggers.get((bank, row), 0)
 
     def missed_against(self, real_triggers: Dict[Tuple[int, int], int]):
         """Rows the real sampler under-protected this window.

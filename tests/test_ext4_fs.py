@@ -18,6 +18,8 @@ from repro.ext4 import (
     Ext4Fs,
     ROOT,
 )
+from repro.ext4.consts import ROOT_INO
+from repro.ext4.dirent import DirectoryBlock
 from repro.host.blockdev import BlockDevice
 
 from tests.conftest import build_stack
@@ -315,6 +317,33 @@ class TestRedirectionPrimitive:
         device.controller.ftl.write(layout.indirect_block, forged)
         with pytest.raises(FsCorruptionError):
             fs.read("/sprayed", MALLORY, offset=12 * bs, length=bs)
+
+
+class TestDirectoryParseReuse:
+    """A directory block's parse is reused only while the device returns
+    the bytes it was made from."""
+
+    def test_block_rewritten_behind_the_fs_is_parsed_again(self):
+        fs, _, _ = make_fs()
+        a = fs.create("/a", ALICE)
+        fs.create("/b", ALICE)
+        assert fs.listdir("/", ALICE) == ["a", "b"]
+        # What a redirected read would return: other bytes at the same
+        # physical block, written past the filesystem.
+        physical = fs._block_lookup(fs._read_inode(ROOT_INO), 0)
+        forged = DirectoryBlock(bytes(fs.block_bytes))
+        forged.append(a, "a")
+        forged.append(a, "planted")
+        fs.device.write_block(physical, forged.to_bytes())
+        assert fs.listdir("/", ALICE) == ["a", "planted"]
+        assert fs.stat("/planted", ALICE).ino == a
+        # A create appends to the bytes on the device, not to the old parse.
+        fs.create("/c", ALICE)
+        assert fs.listdir("/", ALICE) == ["a", "planted", "c"]
+        assert DirectoryBlock(fs.device.read_block(physical)).live_entries()[:2] == [
+            (a, "a"),
+            (a, "planted"),
+        ]
 
 
 class TestPropertyFs:

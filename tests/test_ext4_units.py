@@ -2,6 +2,7 @@
 directory blocks, allocators, permissions."""
 
 import random
+import struct
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,7 +17,7 @@ from repro.ext4.consts import (
     S_IFREG,
     S_ISUID,
 )
-from repro.ext4.dirent import DirectoryBlock
+from repro.ext4.dirent import DirectoryBlock, encode_name
 from repro.ext4.inode import Extent, Inode, make_inode
 from repro.ext4.permissions import may_execute
 from repro.ext4.superblock import Superblock
@@ -192,6 +193,150 @@ class TestInode:
 
     def test_unallocated_inode(self):
         assert not Inode().allocated
+
+
+class ReferenceDirectoryBlock:
+    """The walking parser, the reference for :class:`DirectoryBlock`:
+    every call walks the entries from offset 0."""
+
+    _HEAD = struct.Struct("<IB")
+
+    def __init__(self, data: bytes):
+        self.data = bytearray(data)
+
+    def entries(self):
+        offset = 0
+        limit = len(self.data)
+        while offset + self._HEAD.size <= limit:
+            ino, name_len = self._HEAD.unpack_from(self.data, offset)
+            if ino == 0 and name_len == 0:
+                return
+            start = offset + self._HEAD.size
+            name_raw = bytes(self.data[start : start + name_len])
+            if ino != 0:
+                yield offset, ino, name_raw.decode("utf-8", errors="replace")
+            offset += self._HEAD.size + name_len
+
+    def find(self, name):
+        for _offset, ino, entry_name in self.entries():
+            if entry_name == name:
+                return ino
+        return None
+
+    def append(self, ino, name):
+        raw = encode_name(name)
+        offset = self._end_offset()
+        needed = self._HEAD.size + len(raw)
+        if offset + needed + self._HEAD.size > len(self.data):
+            return False
+        self._HEAD.pack_into(self.data, offset, ino, len(raw))
+        self.data[offset + self._HEAD.size : offset + needed] = raw
+        return True
+
+    def remove(self, name):
+        for offset, _ino, entry_name in self.entries():
+            if entry_name == name:
+                _stored, name_len = self._HEAD.unpack_from(self.data, offset)
+                self._HEAD.pack_into(self.data, offset, 0, name_len)
+                return True
+        return False
+
+    def _end_offset(self):
+        offset = 0
+        limit = len(self.data)
+        while offset + self._HEAD.size <= limit:
+            ino, name_len = self._HEAD.unpack_from(self.data, offset)
+            if ino == 0 and name_len == 0:
+                return offset
+            offset += self._HEAD.size + name_len
+        return offset
+
+    def live_entries(self):
+        return [(ino, name) for _offset, ino, name in self.entries()]
+
+    def to_bytes(self):
+        return bytes(self.data)
+
+
+#: Names the block operations draw from: short names that collide, the
+#: empty name, U+FFFD (what invalid UTF-8 decodes to), a name with '/',
+#: and names at and past the 255-byte limit.
+_NAMES = ["a", "b", "ab", "", "\ufffd", "\xe9", "a/b", "n" * 255, "n" * 256]
+
+_name = st.sampled_from(_NAMES) | st.text(max_size=3)
+
+_entry = st.tuples(
+    st.sampled_from([0, 1, 2, 2**32 - 1]) | st.integers(0, 2**32 - 1),
+    st.sampled_from([n.encode("utf-8") for n in _NAMES[:6]])
+    | st.binary(max_size=10),
+).map(lambda e: struct.pack("<IB", e[0], len(e[1])) + e[1])
+
+
+@st.composite
+def _directory_bytes(draw):
+    """Arbitrary starting bytes: live entries (some with empty names),
+    tombstones, invalid UTF-8, terminators with bytes after them, a name
+    length that runs past the end, and blocks with no room left."""
+    pieces = draw(
+        st.lists(
+            _entry
+            | st.just(b"\x00" * 5)
+            | st.binary(max_size=7)
+            | st.binary(max_size=6).map(lambda raw: struct.pack("<IB", 9, 200) + raw),
+            max_size=10,
+        )
+    )
+    raw = b"".join(pieces)
+    size = draw(st.integers(0, len(raw) + 40))
+    return raw[:size] + b"\x00" * (size - len(raw))
+
+
+_operation = st.one_of(
+    st.tuples(
+        st.just("append"),
+        st.sampled_from([0, 1, 5, 2**32 - 1]) | st.integers(0, 2**33),
+        _name,
+    ),
+    st.tuples(st.just("remove"), _name),
+    st.tuples(st.just("find"), _name),
+    st.tuples(st.just("entries")),
+    st.tuples(st.just("live_entries")),
+    st.tuples(st.just("to_bytes")),
+)
+
+
+def _apply(block, op):
+    """One operation's result, or the exception it raised as (type, text)."""
+    try:
+        result = getattr(block, op[0])(*op[1:])
+    except (FsError, struct.error) as exc:
+        return type(exc), str(exc)
+    return list(result) if op[0] == "entries" else result
+
+
+class TestDirectoryBlockIndex:
+    @given(data=_directory_bytes(), ops=st.lists(_operation, max_size=25))
+    @settings(max_examples=150, deadline=None)
+    @example(data=b"\x01\x00\x00\x00\x00" * 3, ops=[("remove", ""), ("entries",)])
+    @example(
+        data=b"\x00" * 5 + b"\x07\x00\x00\x00\x01a",
+        ops=[("append", 3, "b"), ("find", "a"), ("live_entries",)],
+    )
+    @example(
+        data=b"\x01\x00\x00\x00\x01a\x02\x00\x00\x00\x01a",
+        ops=[("remove", "a"), ("find", "a"), ("remove", "a"), ("find", "a")],
+    )
+    def test_matches_walking_parser(self, data, ops):
+        """Every result of the indexed block equals the walking parser's
+        over the same sequence, from arbitrary starting bytes."""
+        block = DirectoryBlock(data)
+        reference = ReferenceDirectoryBlock(data)
+        for op in ops:
+            assert _apply(block, op) == _apply(reference, op), op
+            assert block.to_bytes() == reference.to_bytes()
+        for name in set(_NAMES) | {name for _ino, name in reference.live_entries()}:
+            assert block.find(name) == reference.find(name)
+        assert list(block.entries()) == list(reference.entries())
 
 
 class TestDirectoryBlock:

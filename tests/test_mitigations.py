@@ -13,7 +13,12 @@ from repro.mitigations import (
     evaluate_mitigation,
     standard_mitigations,
 )
-from repro.mitigations.encryption import decrypt_block, encrypt_block
+from repro.mitigations.encryption import (
+    KEYSTREAM_MEMO,
+    _keystream,
+    decrypt_block,
+    encrypt_block,
+)
 from repro.mitigations.evaluation import looks_like_plaintext
 from repro.attack import AttackConfig
 from repro.ext4 import Credentials, Ext4Fs, ROOT
@@ -86,6 +91,24 @@ class TestEncryption:
         expected = encrypt_reference(key, lba, plaintext)
         assert encrypt_block(key, lba, plaintext) == expected
         assert decrypt_block(key, lba, expected) == plaintext
+
+    def test_memo_keys_on_secret_lba_and_length(self):
+        """Keystreams are reused across calls: one LBA under two keys, at
+        lengths that share and cut each other's prefixes, in an order that
+        revisits each, matches the reference every time."""
+        keys = [TenantKey.derive("victim"), TenantKey.derive("attacker")]
+        plaintext = bytes(range(256)) * 16
+        for size in (4096, 512, 0, 1, 33, 4096, 31, 512, 4095, 1):
+            for key in keys + keys[::-1]:
+                expected = encrypt_reference(key, 77, plaintext[:size])
+                assert encrypt_block(key, 77, plaintext[:size]) == expected
+                assert decrypt_block(key, 77, expected) == plaintext[:size]
+
+    def test_memo_is_bounded(self):
+        key = TenantKey.derive("bounded")
+        for lba in range(2 * KEYSTREAM_MEMO):
+            encrypt_block(key, lba, b"\x00" * 64)
+        assert _keystream.cache_info().currsize == KEYSTREAM_MEMO
 
     def test_known_answer(self):
         """One pinned ciphertext: a 4 KiB block under a derived key."""

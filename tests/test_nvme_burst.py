@@ -4,6 +4,7 @@ import pytest
 
 from repro.dram import CacheMode
 from repro.nvme import DeviceTimingModel, IopsRateLimiter
+from repro.units import us
 
 from tests.conftest import FRAGILE, build_stack
 
@@ -85,6 +86,27 @@ class TestBurstMechanics:
         controller.write(1, 300, b"\x01" * 512)
         warm = controller.read_burst(1, [0, 300], repeats=10)
         assert cold.io_rate > warm.io_rate
+
+
+class TestBurstTiming:
+    def test_reassigned_timing_prices_the_burst(self):
+        """A burst is priced with the timing in force when it runs: after
+        ``controller.timing`` is reassigned, it advances the clock exactly
+        as on a stack built with that timing."""
+        timing = DeviceTimingModel(base_command_time=us(4))
+        stacks = []
+        for built_with in (None, timing):
+            controller, _, _ = build_stack(timing=built_with)
+            controller.create_namespace(1, 0, 192)
+            controller.write(1, 0, b"\x01" * 512)
+            controller.write(1, 100, b"\x01" * 512)
+            controller.timing = timing
+            controller.clock.advance_to(1.0)
+            stacks.append((controller, controller.read_burst(1, [0, 100], 10)))
+        (reassigned, late), (built, fresh) = stacks
+        assert late.io_rate == fresh.io_rate
+        assert late.duration == fresh.duration
+        assert reassigned.clock.now == built.clock.now
 
 
 class TestBurstAmplification:
