@@ -91,10 +91,6 @@ class FtlError(ReproError):
     """Base class for FTL errors."""
 
 
-class FtlCapacityError(FtlError):
-    """The FTL ran out of writable space (even after garbage collection)."""
-
-
 class PowerLossInterrupt(ReproError):
     """Simulated power loss cut the device off mid-flash-operation.
 
@@ -112,7 +108,8 @@ class FtlRecoveryError(FtlError):
 
 
 class FtlReadOnlyError(FtlError):
-    """The device degraded to read-only mode (spare-block pool exhausted);
+    """The device degraded to read-only mode (spare-block pool exhausted, or
+    no free block left to write into even after garbage collection);
     writes and deallocations are rejected, reads still succeed."""
 
 

@@ -24,7 +24,6 @@ from repro.dram.cache import FtlCpuCache
 from repro.errors import (
     ConfigError,
     FlashWriteFault,
-    FtlCapacityError,
     FtlReadOnlyError,
     FtlRecoveryError,
 )
@@ -63,9 +62,9 @@ class FtlConfig:
     #: page is staged, its payload bytes are themselves hammerable.
     write_buffer_pages: int = 0
     #: Blocks reserved for replacing grown bad blocks.  Each retirement
-    #: consumes one spare; when the pool is exhausted the device degrades
-    #: to read-only instead of dying mid-write (0 = no spare pool, legacy
-    #: behaviour: retirements simply shrink the free pool).
+    #: consumes one spare; once none is left the device degrades to
+    #: read-only instead of dying mid-write (0 = no spare pool: retirements
+    #: shrink the free pool until no block is left to write into).
     spare_blocks: int = 0
 
     def __post_init__(self) -> None:
@@ -170,8 +169,8 @@ class PageMappingFtl:
         #: Reverse map PPA -> LBA (device metadata, not hammerable; see
         #: DESIGN.md scope note).
         self.reverse: Dict[int, int] = {}
+        #: The write frontier; its next page is the block's own write pointer.
         self._open_block: Optional[int] = None
-        self._next_page = 0
         self._sealed: List[int] = []
         self.gc_stats = GcStats()
         #: DIF metadata per physical page: (guard CRC-32C, reference LBA).
@@ -191,7 +190,7 @@ class PageMappingFtl:
         self.program_seq = 0
         #: Power state: True between :meth:`crash` and :meth:`recover`.
         self._crashed = False
-        #: Degraded mode after spare-pool exhaustion: reads only.
+        #: Degraded mode (no spare or no room left to write): reads only.
         self.read_only = False
         #: True while a GC pass is running (observable by power-loss
         #: harnesses to classify where a crash landed).
@@ -303,38 +302,16 @@ class PageMappingFtl:
         return result
 
     def _write_through(self, lba: int, data: bytes) -> WriteResult:
-        """The unbuffered write path: allocate, program, remap.
-
-        A program failure (NAND status fail) is handled the way firmware
-        handles it: the open block is sealed and marked grown-bad — the
-        pages already in it stay readable until GC relocates them and
-        retires the block — and the write retries on a fresh block.
-        """
+        """The unbuffered write path: collect if due, program, remap."""
         gc_stats = self._maybe_collect()
-        attempts = 0
-        while True:
-            ppa = self.allocate_page()
-            self.program_seq += 1
-            oob = PageOob(lba=lba, seq=self.program_seq)
-            try:
-                self.flash.program_page(ppa, data, oob=oob)
-                break
-            except FlashWriteFault:
-                self._on_program_failure(self.flash.geometry.block_of_ppa(ppa))
-                attempts += 1
-                if attempts >= 3:
-                    raise
-        block = self.flash.geometry.block_of_ppa(ppa)
+        ppa = self.place_page(lba, data)
         self.write_sequence += 1
-        self.block_mtime[block] = self.write_sequence
+        self.block_mtime[self.flash.geometry.block_of_ppa(ppa)] = self.write_sequence
         if self.config.dif:
             from repro.ext4.crc32c import crc32c
 
             self.dif_tags[ppa] = (crc32c(bytes(data)), lba)
-        self._invalidate(lba, self.l2p.lookup(lba))
-        self.l2p.update(lba, ppa)
-        self.reverse[ppa] = lba
-        self.valid_count[block] += 1
+        self.map_page(lba, ppa, self.l2p.lookup(lba))
         flash_time = self.flash.timing.program_page
         if gc_stats is not None:
             flash_time += gc_stats.flash_time
@@ -355,7 +332,7 @@ class PageMappingFtl:
             self.tracer.emit("ftl.trim", lba=lba)
         if self.write_buffer is not None:
             self.write_buffer.discard(lba)
-        self._invalidate(lba, self.l2p.lookup(lba))
+        self.invalidate(lba, self.l2p.lookup(lba))
         self.l2p.clear(lba)
 
     def flush(self) -> float:
@@ -411,35 +388,82 @@ class PageMappingFtl:
             for lba in lbas:
                 self.write_buffer.discard(lba)
         for lba, old in zip(lbas, self.l2p.lookup_many(lbas).tolist()):
-            self._invalidate(lba, None if old == UNMAPPED else old)
+            self.invalidate(lba, None if old == UNMAPPED else old)
         self.l2p.clear_many(lbas)
 
     # ------------------------------------------------------------------
     # allocation & GC plumbing (used by the collector too)
     # ------------------------------------------------------------------
 
-    def allocate_page(self, during_gc: bool = False) -> int:
+    def place_page(self, lba: int, data: bytes) -> int:
+        """Program ``lba``'s page at the write frontier; returns its PPA.
+
+        The only way a page reaches NAND, host write or GC move.  Each
+        program gets a fresh OOB sequence number, so recovery prefers the
+        newest copy.  A program failure seals the open block as grown-bad,
+        as firmware does (its pages stay readable until GC relocates them
+        and retires it), and the program retries on a fresh block.
+        """
+        attempts = 0
+        while True:
+            ppa = self.allocate_page()
+            self.program_seq += 1
+            oob = PageOob(lba=lba, seq=self.program_seq)
+            try:
+                self.flash.program_page(ppa, data, oob=oob)
+                return ppa
+            except FlashWriteFault:
+                self._on_program_failure()
+                attempts += 1
+                if attempts >= 3:
+                    raise
+
+    def map_page(self, lba: int, ppa: int, old: Optional[int]) -> None:
+        """Point ``lba`` at ``ppa`` and drop its previous translation ``old``
+        (None if unmapped): the only way a translation is installed."""
+        self.invalidate(lba, old)
+        self.l2p.update(lba, ppa)
+        self.reverse[ppa] = lba
+        self.valid_count[self.flash.geometry.block_of_ppa(ppa)] += 1
+
+    def invalidate(self, lba: int, old: Optional[int]) -> None:
+        """Drop ``lba``'s previous translation ``old`` (None if unmapped)
+        from the reverse map and its block's valid count."""
+        if old is None or old >= self.flash.geometry.total_pages:
+            return
+        if self.reverse.get(old) == lba:
+            del self.reverse[old]
+            self.valid_count[self.flash.geometry.block_of_ppa(old)] -= 1
+
+    def allocate_page(self) -> int:
         """Next page of the open block, opening a fresh block as needed.
 
-        Worn-out (bad) blocks in the free pool are retired on sight, the
-        way firmware maintains its bad-block table.
+        The page is the open block's own write pointer, so programs are
+        sequential by construction.  Worn-out (bad) blocks in the free pool
+        are retired on sight, the way firmware maintains its bad-block
+        table; with no free block left the device degrades to read-only.
         """
         geometry = self.flash.geometry
-        if self._open_block is None or self._next_page >= geometry.pages_per_block:
-            if self._open_block is not None:
-                self._sealed.append(self._open_block)
-            while True:
-                if not self.free_blocks:
-                    raise FtlCapacityError("no free blocks left")
-                candidate = self.free_blocks.popleft()
-                if not self.flash.block_is_bad(candidate):
-                    break
-                self.retire_block(candidate)
-            self._open_block = candidate
-            self._next_page = 0
-        ppa = geometry.first_ppa_of_block(self._open_block) + self._next_page
-        self._next_page += 1
-        return ppa
+        block = self._open_block
+        if block is not None:
+            pointer = self.flash.block_write_pointer(block)
+            if pointer < geometry.pages_per_block:
+                return geometry.first_ppa_of_block(block) + pointer
+            self._sealed.append(block)
+            self._open_block = None
+        while True:
+            if not self.free_blocks:
+                self._degrade()
+                self.gc_active = False  # a pass this unwinds is over, not cut
+                raise FtlReadOnlyError(
+                    "device degraded to read-only: no free block to write into"
+                )
+            block = self.free_blocks.popleft()
+            if not self.flash.block_is_bad(block):
+                break
+            self.retire_block(block)
+        self._open_block = block
+        return geometry.first_ppa_of_block(block)
 
     def sealed_blocks(self) -> List[int]:
         """Blocks eligible as GC victims (full, not open, not free)."""
@@ -447,8 +471,7 @@ class PageMappingFtl:
 
     def release_block(self, block: int) -> None:
         """Return an erased ex-victim block to the free pool."""
-        if block in self._sealed:
-            self._sealed.remove(block)
+        self._sealed.remove(block)
         self.free_blocks.append(block)
 
     def retire_block(self, block: int) -> None:
@@ -466,17 +489,19 @@ class PageMappingFtl:
             if self.spare_pool:
                 self.free_blocks.append(self.spare_pool.popleft())
             else:
-                self.read_only = True
-                self.metrics.counter("read_only_transitions").add()
+                self._degrade()
 
-    def _on_program_failure(self, block: int) -> None:
-        """Grown bad block mid-program: seal it (its programmed pages stay
+    def _on_program_failure(self) -> None:
+        """Grown bad block mid-program: seal the open block (its pages stay
         readable and valid until GC relocates them and retires it)."""
-        self.flash.mark_bad(block)
-        if self._open_block == block:
-            self._sealed.append(block)
-            self._open_block = None
-            self._next_page = 0
+        self.flash.mark_bad(self._open_block)
+        self._sealed.append(self._open_block)
+        self._open_block = None
+
+    def _degrade(self) -> None:
+        """Enter read-only mode: reads keep working, writes are refused."""
+        self.read_only = True
+        self.metrics.counter("read_only_transitions").add()
 
     def _maybe_collect(self) -> Optional[GcStats]:
         if len(self.free_blocks) > self.config.gc_low_watermark:
@@ -487,10 +512,8 @@ class PageMappingFtl:
             # A power-loss interrupt raised inside collect() unwinds with
             # gc_active still True, so crash harnesses can classify where
             # the cut landed; crash() resets the flag.
-            if not self.sealed_blocks():
-                if len(self.free_blocks) == 0:
-                    raise FtlCapacityError("GC found nothing reclaimable")
-                break
+            if not self._sealed:
+                break  # nothing to reclaim
             passed = self.collector.collect(self)
             total.merge(passed)
             if self.tracer is not None:
@@ -507,15 +530,6 @@ class PageMappingFtl:
         self.gc_stats.merge(total)
         return total
 
-    def _invalidate(self, lba: int, old: Optional[int]) -> None:
-        """Drop ``lba``'s previous translation ``old`` (None if unmapped)
-        from the reverse map and its block's valid count."""
-        if old is None or old >= self.flash.geometry.total_pages:
-            return
-        if self.reverse.get(old) == lba:
-            del self.reverse[old]
-            self.valid_count[self.flash.geometry.block_of_ppa(old)] -= 1
-
     def _check_lba(self, lba: int) -> None:
         if not 0 <= lba < self.num_lbas:
             raise ConfigError("LBA %d outside device of %d" % (lba, self.num_lbas))
@@ -529,7 +543,7 @@ class PageMappingFtl:
     def _check_writable(self) -> None:
         if self.read_only:
             raise FtlReadOnlyError(
-                "device degraded to read-only: spare-block pool exhausted"
+                "device degraded to read-only: out of spare blocks or room to write"
             )
 
     # ------------------------------------------------------------------
@@ -560,7 +574,6 @@ class PageMappingFtl:
         self.spare_pool.clear()
         self._sealed = []
         self._open_block = None
-        self._next_page = 0
         self.block_mtime.clear()
         self.retired_blocks = []
         self.read_only = False

@@ -14,11 +14,10 @@ the misdirection instead of healing it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List
 
 from repro.errors import FlashEraseError
-from repro.flash.block import PageOob
 
 
 @dataclass
@@ -45,20 +44,19 @@ class GreedyGarbageCollector:
     name = "greedy"
 
     def select_victim(self, ftl, candidates: List[int]) -> int:
-        return min(candidates, key=lambda block: ftl.valid_count[block])
+        return min(candidates, key=ftl.valid_count.__getitem__)
 
     def collect(self, ftl) -> GcStats:
-        """Reclaim one block; returns the pass's accounting."""
+        """Reclaim one sealed block; returns the pass's accounting.  Valid
+        pages move through the host write path (``place_page``,
+        ``map_page``)."""
         stats = GcStats(collections=1)
-        candidates = ftl.sealed_blocks()
-        if not candidates:
-            return stats  # nothing reclaimable; caller decides what to do
-        victim = self.select_victim(ftl, candidates)
+        victim = self.select_victim(ftl, ftl.sealed_blocks())
         timing = ftl.flash.timing
         geometry = ftl.flash.geometry
         first = geometry.first_ppa_of_block(victim)
-        for page in range(geometry.pages_per_block):
-            ppa = first + page
+        pages = range(first, first + geometry.pages_per_block)
+        for ppa in pages:
             lba = ftl.reverse.get(ppa)
             if lba is None:
                 continue
@@ -66,32 +64,20 @@ class GreedyGarbageCollector:
                 # The mapping moved on (overwrite race) or was corrupted by
                 # a disturbance flip: the page is not reachable through the
                 # table, so it is dropped rather than moved.
-                del ftl.reverse[ppa]
-                ftl.valid_count[victim] -= 1
+                ftl.invalidate(lba, ppa)
                 stats.dropped_stale_pages += 1
                 continue
             data = ftl.flash.read_page(ppa)
             stats.flash_time += timing.read_page
-            new_ppa = ftl.allocate_page(during_gc=True)
-            # Moved copies get a *fresh* OOB sequence number: if power is
-            # lost before the victim is erased, recovery sees both copies
-            # and must prefer the relocation (highest sequence wins).
-            ftl.program_seq += 1
-            ftl.flash.program_page(
-                new_ppa, data, oob=PageOob(lba=lba, seq=ftl.program_seq)
-            )
+            new_ppa = ftl.place_page(lba, data)
             stats.flash_time += timing.program_page
             if ppa in ftl.dif_tags:
                 # The protection-information bytes travel with the data.
                 ftl.dif_tags[new_ppa] = ftl.dif_tags.pop(ppa)
-            ftl.l2p.update(lba, new_ppa)
-            del ftl.reverse[ppa]
-            ftl.reverse[new_ppa] = lba
-            ftl.valid_count[victim] -= 1
-            ftl.valid_count[geometry.block_of_ppa(new_ppa)] += 1
+            ftl.map_page(lba, new_ppa, ppa)
             stats.moved_pages += 1
-        for page in range(geometry.pages_per_block):
-            ftl.dif_tags.pop(first + page, None)  # erase wipes the PI bytes
+        for ppa in pages:
+            ftl.dif_tags.pop(ppa, None)  # erase wipes the PI bytes
         try:
             ftl.flash.erase_block(victim)
         except FlashEraseError:

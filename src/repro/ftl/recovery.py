@@ -161,12 +161,7 @@ def recover(ftl) -> RecoveryReport:
     ftl.free_blocks = deque(free)
     ftl._sealed = sorted(sealed)
     ftl.retired_blocks = retired
-    if open_block >= 0:
-        ftl._open_block = open_block
-        ftl._next_page = ftl.flash.block_object(open_block).write_pointer
-    else:
-        ftl._open_block = None
-        ftl._next_page = 0
+    ftl._open_block = open_block if open_block >= 0 else None
 
     # -- spare pool & degraded mode ---------------------------------------
     # The spare ledger is not persisted; approximate it as "every grown bad

@@ -40,7 +40,7 @@ class StatusCode(enum.Enum):
     #: its recovery scan failed.
     RECOVERY_ERROR = "recovery-error"
     #: The namespace is write-protected: the device degraded to read-only
-    #: after exhausting its spare-block pool.
+    #: after exhausting its spare-block pool or its room to write.
     READ_ONLY = "namespace-write-protected"
 
 

@@ -38,7 +38,8 @@ from repro.errors import ConfigError
 from repro.policies import RETRYABLE_STATUSES, RetryPolicy
 
 #: What a tenant's writes do once the device degrades to read-only
-#: (spare-block pool exhausted).  Reads keep flowing in every mode.
+#: (spare-block pool exhausted, or no room left to write).  Reads keep
+#: flowing in every mode.
 #:
 #: * ``fail_fast`` — writes are submitted and fail immediately with
 #:   ``READ_ONLY`` (counted as labeled errors; the tenant sees them).

@@ -81,8 +81,9 @@ def check_ftl(ftl, exempt_lbas: Iterable[int] = ()) -> None:
     * GC never loses live pages: every reverse-map entry points back to a
       live translation, and per-block valid counts equal the number of
       reverse entries in that block.
-    * Pool discipline: free, sealed, open, retired, and spare blocks are
-      disjoint, and free blocks hold no valid pages.
+    * Pool discipline: every block is free, sealed, retired, spare or the
+      open block, exactly one of these, and free blocks hold no valid
+      pages.
     """
     geometry = ftl.flash.geometry
     total_pages = geometry.total_pages
@@ -170,30 +171,31 @@ def check_ftl(ftl, exempt_lbas: Iterable[int] = ()) -> None:
                 "entries there" % (block, actual, expected),
             )
 
-    free = set(ftl.free_blocks)
-    sealed = set(ftl.sealed_blocks())
-    retired = set(ftl.retired_blocks)
-    spare = set(ftl.spare_pool)
-    if len(free) != len(ftl.free_blocks):
-        _fail("ftl", "free pool contains duplicate blocks")
-    for name, pool in (("sealed", sealed), ("retired", retired), ("spare", spare)):
-        overlap = free & pool
-        if overlap:
-            _fail("ftl", "blocks %s are both free and %s" % (sorted(overlap), name))
-    if sealed & retired:
-        _fail("ftl", "blocks %s are both sealed and retired" % sorted(sealed & retired))
-    if spare & (sealed | retired):
-        _fail(
-            "ftl",
-            "spare blocks %s also sit in the sealed/retired pools"
-            % sorted(spare & (sealed | retired)),
-        )
-    for block in retired:
+    # Pool discipline: every block sits in exactly one pool or is open.
+    pools = (
+        ("free", ftl.free_blocks),
+        ("sealed", ftl._sealed),
+        ("retired", ftl.retired_blocks),
+        ("spare", ftl.spare_pool),
+        ("open", () if ftl._open_block is None else (ftl._open_block,)),
+    )
+    home: Dict[int, str] = {}
+    for name, pool in pools:
+        for block in pool:
+            if block in home:
+                _fail(
+                    "ftl",
+                    "block %d sits in the %s pool and again in the %s pool"
+                    % (block, home[block], name),
+                )
+            home[block] = name
+    unaccounted = sorted(set(range(geometry.total_blocks)) - set(home))
+    if unaccounted:
+        _fail("ftl", "blocks %s sit in no pool and are not open" % unaccounted)
+    for block in ftl.retired_blocks:
         if not ftl.flash.block_is_bad(block):
             _fail("ftl", "retired block %d is not marked bad on the array" % block)
-    if ftl._open_block is not None and ftl._open_block in free | sealed | retired | spare:
-        _fail("ftl", "open block %d also sits in a pool" % ftl._open_block)
-    for block in free:
+    for block in ftl.free_blocks:
         if ftl.valid_count[block] != 0:
             _fail(
                 "ftl",

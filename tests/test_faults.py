@@ -1,6 +1,8 @@
 """Unit tests for the fault-injection plane: plans, scheduled events, and
 the injector's determinism guarantees."""
 
+import random
+
 import pytest
 
 from repro.errors import (
@@ -128,6 +130,45 @@ class TestScheduledEvents:
         _c, _d, ftl = build_stack(fault_plan=plan)
         with pytest.raises(FlashWriteFault):
             ftl.write(0, payload(ftl, 0x11))
+
+
+class TestGcProgramFault:
+    def test_program_fault_on_a_gc_move_is_absorbed(self):
+        """A program failure on a GC relocation is handled as on a host
+        write: the block is sealed bad, the move retries on a fresh block,
+        and GC later retires the bad block."""
+        plan = FaultPlan(
+            events=(FaultEvent(op="program", index=233, kind="program_fail"),)
+        )
+        _c, _d, ftl = build_stack(fault_plan=plan)
+        injector = ftl.flash.injector
+        failed_during_gc = []
+        on_program = injector.on_program
+
+        def spy(array, ppa):
+            try:
+                on_program(array, ppa)
+            except FlashWriteFault:
+                failed_during_gc.append(ftl.gc_active)
+                raise
+
+        injector.on_program = spy
+        acked = {}
+        for lba in range(192):
+            ftl.write(lba, payload(ftl, lba))
+            acked[lba] = payload(ftl, lba)
+        # Program 233 is the first GC relocation of this overwrite stream.
+        rng = random.Random(7)
+        for index in range(600):
+            lba = rng.randrange(192)
+            ftl.write(lba, payload(ftl, index % 256))
+            acked[lba] = payload(ftl, index % 256)
+        assert failed_during_gc == [True]
+        failed = ftl.flash.geometry.block_of_ppa(injector.log[0].ppa)
+        assert failed in ftl.retired_blocks
+        for lba, data in acked.items():
+            assert ftl.read(lba).data == data, "lost LBA %d" % lba
+        ftl.check()
 
 
 class TestInjectorDeterminism:

@@ -12,7 +12,7 @@ from repro.dram import (
     GenerationProfile,
     VulnerabilityModel,
 )
-from repro.errors import ConfigError, FtlCapacityError
+from repro.errors import ConfigError
 from repro.flash import FlashArray, FlashGeometry
 from repro.ftl import (
     FtlConfig,

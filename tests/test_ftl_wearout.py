@@ -4,7 +4,8 @@ Note on shape: with uniform churn the greedy collector levels wear almost
 perfectly, so blocks reach their endurance together — retirement arrives
 as a cliff followed by device death, not a gentle slope.  The tests assert
 the mechanics (retired blocks leave rotation, the device keeps data intact
-until the cliff, death raises cleanly) rather than a gradual curve.
+until the cliff, death degrades it to read-only with every acknowledged
+write still readable) rather than a gradual curve.
 """
 
 import pytest
@@ -17,7 +18,7 @@ from repro.dram import (
     GenerationProfile,
     VulnerabilityModel,
 )
-from repro.errors import FlashEraseError, FtlCapacityError
+from repro.errors import FlashEraseError, FtlReadOnlyError
 from repro.flash import FlashArray, FlashGeometry
 from repro.ftl import FtlConfig, PageMappingFtl, wear_report
 from repro.sim import SimClock
@@ -48,10 +49,28 @@ def make_ftl(endurance=6, blocks=24, num_lbas=64):
     return ftl
 
 
-def churn(ftl, rounds, lbas=32):
+def churn(ftl, rounds, lbas=32, acked=None):
+    """Overwrite ``lbas`` LBAs ``rounds`` times; ``acked`` collects each
+    acknowledged LBA's last data."""
     for round_no in range(rounds):
         for lba in range(lbas):
-            ftl.write(lba, bytes([round_no % 251]) * 512)
+            data = bytes([round_no % 251]) * 512
+            ftl.write(lba, data)
+            if acked is not None:
+                acked[lba] = data
+
+
+def churn_to_death(ftl, rounds):
+    """Churn until the worn device degrades; check the degraded device
+    still serves every acknowledged write and keeps its invariants."""
+    acked = {}
+    with pytest.raises(FtlReadOnlyError):
+        churn(ftl, rounds=rounds, acked=acked)
+    assert ftl.read_only
+    assert not ftl.gc_active  # degraded, not cut by a power loss
+    for lba, data in acked.items():
+        assert ftl.read(lba).data == data, "lost LBA %d" % lba
+    ftl.check()
 
 
 class TestRetirementMechanics:
@@ -75,16 +94,14 @@ class TestRetirementMechanics:
         ftl = make_ftl(endurance=2)
         # Every block's *second* erase marks it bad; churn until GC has
         # erased something twice.
-        with pytest.raises(FtlCapacityError):
-            churn(ftl, rounds=400)
+        churn_to_death(ftl, rounds=400)
         assert ftl.retired_blocks
         retired = set(ftl.retired_blocks)
         assert not retired & set(ftl.free_blocks)
 
     def test_retired_counter_tracks(self):
         ftl = make_ftl(endurance=2)
-        with pytest.raises(FtlCapacityError):
-            churn(ftl, rounds=400)
+        churn_to_death(ftl, rounds=400)
         assert ftl.metrics.counter("retired_blocks").value == len(
             ftl.retired_blocks
         )
@@ -101,15 +118,13 @@ class TestLifecycle:
 
     def test_device_death_is_a_clean_error(self):
         ftl = make_ftl(endurance=2, blocks=16, num_lbas=64)
-        with pytest.raises(FtlCapacityError):
-            churn(ftl, rounds=200)
+        churn_to_death(ftl, rounds=200)
 
     def test_mass_retirement_at_death(self):
         """Uniform wear means the fleet dies together — the retired list
         holds a large share of the device at the point of failure."""
         ftl = make_ftl(endurance=6)
-        with pytest.raises(FtlCapacityError):
-            churn(ftl, rounds=200)
+        churn_to_death(ftl, rounds=200)
         assert len(ftl.retired_blocks) >= 8
         assert wear_report(ftl).bad_blocks >= len(ftl.retired_blocks)
 

@@ -113,6 +113,23 @@ class TestFtlInvariants:
             ftl.check()
         ftl.check(exempt_lbas=[3])
 
+    def test_block_in_no_pool_detected(self):
+        _c, _d, ftl = build_stack()
+        for lba in range(20):
+            ftl.write(lba, bytes([lba]) * ftl.page_bytes)
+        ftl.check()
+        ftl.free_blocks.pop()  # the block now sits in no pool
+        with pytest.raises(InvariantViolation, match="sit in no pool"):
+            ftl.check()
+
+    def test_block_in_two_pools_detected(self):
+        _c, _d, ftl = build_stack()
+        for lba in range(20):
+            ftl.write(lba, bytes([lba]) * ftl.page_bytes)
+        ftl._sealed.append(ftl._sealed[0])
+        with pytest.raises(InvariantViolation, match="again in the sealed pool"):
+            ftl.check()
+
 
 class TestDramInvariants:
     def test_tampered_counts_detected(self):
