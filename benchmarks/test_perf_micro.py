@@ -86,15 +86,15 @@ def test_dram_batch_hammer_window(benchmark, dram):
     assert result.accesses == 100_000
 
 
-def test_dram_activate_burst(benchmark):
-    """One planted onset-scan probe of U-TRR inference: five aggressors
-    against a four-entry counter_lru sampler, 512 cycles, so the sampler
-    thrashes and the victims flip."""
+def planted_probe(aggressor_count):
+    """One planted onset-scan probe of U-TRR inference: ``aggressor_count``
+    aggressors against a four-entry counter_lru sampler, 512 cycles.  Each
+    call rewrites the victims, opens a fresh window and runs the ACTs."""
     dram = build_utrr_target(
         {"tracker_capacity": 4, "refresh_threshold": 24}, seed=1
     )
     pipeline = UtrrPipeline(dram)
-    aggressors = [pipeline.aggressor(i) for i in range(5)]
+    aggressors = [pipeline.aggressor(i) for i in range(aggressor_count)]
     sequence = [(0, row) for row in aggressors] * pipeline.cycles
     victims = [dram.mapping.address_of(DramAddress(0, row + 1, 0)) for row in aggressors]
     plant = b"\x00" * dram.geometry.row_bytes
@@ -105,7 +105,18 @@ def test_dram_activate_burst(benchmark):
         dram.clock.advance(dram.refresh_interval)  # a fresh window
         return dram.activate_burst(sequence)
 
-    assert benchmark(op)
+    return op
+
+
+def test_dram_activate_burst(benchmark):
+    """Five aggressors thrash the sampler, so the victims flip."""
+    assert benchmark(planted_probe(5))
+
+
+def test_dram_activate_burst_absorbed(benchmark):
+    """Four aggressors: the sampler tracks every one, so TRR refreshes each
+    victim before it can flip."""
+    assert benchmark(planted_probe(4)) == []
 
 
 def test_ftl_write_path(benchmark):

@@ -29,6 +29,11 @@ judged against its minimum threshold, which the evaluator then records as
 the mark.  The mark is dropped whenever the row's data or check bytes are
 written or allocated; refreshes and window rollover keep it, since they
 restart disturbance but restore no flipped bit.
+
+``flip_bounds[row]`` is the sum of the row's disturbing neighbours' window
+counters below which its disturbance cannot reach its mark (``inf`` with
+an ``inf`` mark); only the ordered stream sets one.  Window rollover clears
+the bounds, and :meth:`Bank.drop_flip_mark` drops a bound with its mark.
 """
 
 from __future__ import annotations
@@ -69,6 +74,9 @@ class Bank:
         #: not applied since the row's bytes last changed other than by a
         #: flip (``inf`` once all are).  Absent: the row's minimum applies.
         self.flip_marks: Dict[int, float] = {}
+        #: Victim row -> neighbour ACT sum at which its next evaluation is
+        #: due.  Absent: due now.
+        self.flip_bounds: Dict[int, float] = {}
         #: Epoch index currently being accounted.
         self.epoch = -1
         #: Row currently held in the row buffer, or None after precharge.
@@ -84,7 +92,14 @@ class Bank:
         self.epoch = epoch
         self.acts.clear()
         self.victim_baseline.clear()
+        self.flip_bounds.clear()
         return True
+
+    def drop_flip_mark(self, row: int) -> None:
+        """Forget ``row``'s flip mark and evaluation bound: its bytes
+        changed other than by a flip."""
+        self.flip_marks.pop(row, None)
+        self.flip_bounds.pop(row, None)
 
     # -- victim refresh (mitigations) ---------------------------------------
 
@@ -135,7 +150,7 @@ class Bank:
         if array is None and allocate:
             array = np.zeros(self.geometry.row_bytes // 8, dtype=np.uint8)
             self.check_rows[row] = array
-            self.flip_marks.pop(row, None)
+            self.drop_flip_mark(row)
         return array
 
     def is_allocated(self, row: int) -> bool:
@@ -167,7 +182,7 @@ class Bank:
             )
         array = self._data(row, allocate=True)
         array[column : column + length] = data
-        self.flip_marks.pop(row, None)
+        self.drop_flip_mark(row)
 
     # -- disturbance application ---------------------------------------------
 

@@ -43,6 +43,16 @@ victim whose mark is ``inf`` at all.  Writes, ECC check-byte updates and
 check-region allocation (also by an ECC read) drop the mark; TRR, PARA and
 window rollover keep it, since a refresh restores no flipped bit.  The
 re-walking evaluator this replaces is the reference in the tests.
+
+The ordered stream also keeps each victim an *evaluation bound*
+(:attr:`Bank.flip_bounds <repro.dram.bank.Bank.flip_bounds>`).  A
+neighbour ACT adds at most ``1 + synergy`` of disturbance and a refresh
+only lowers it, so after an evaluation at neighbour ACT sum ``r`` finds
+disturbance ``D`` below mark ``m``, the next is due at ``r + max(1,
+floor((m - D) / (1 + synergy)))``, never while ``m`` is ``inf``.  An
+evaluation that can flip still runs on the same ACT, so no flip moves.
+The window histogram sets no bound: its TRR cap and PARA division
+understate disturbance.  Evaluating on every ACT is the tests' reference.
 """
 
 from __future__ import annotations
@@ -356,7 +366,7 @@ class DramModule:
         words = raw.view(np.uint64)
         check = bank.check_bytes(row, allocate=True)
         check[first_word : last_word + 1] = codec.encode_words(words)
-        bank.flip_marks.pop(row, None)
+        bank.drop_flip_mark(row)
 
     # ------------------------------------------------------------------
     # the ordered stream
@@ -389,7 +399,9 @@ class DramModule:
         pipeline's hammer primitive: sampler policies are distinguished by
         activation *order*, which a coalesced histogram cannot express.
         """
-        self._check_addresses(activations)
+        # Each distinct (bank, row) once, in first-seen order, so the
+        # first bad entry still raises.
+        self._check_addresses(dict.fromkeys(activations))
         flips_before = len(self.flips)
         self._stream(activations, explicit=True)
         return self.flips[flips_before:]
@@ -410,6 +422,9 @@ class DramModule:
         tracer = self.tracer
         rows_per_bank = self._rows_per_bank
         deltas = self._victim_deltas
+        far = len(deltas) == 4
+        per_act = 1.0 + self._synergy
+        min_threshold = self.vulnerability.min_threshold
         evaluate = self._evaluate_victim
         open_page = self.row_policy == OPEN_PAGE
         total = hits = 0
@@ -432,7 +447,7 @@ class DramModule:
                 if tracer is not None:
                     tracer.emit("dram.activate", bank=bank_idx, row=row, count=1)
             acts = bank.acts
-            acts[row] = acts.get(row, 0) + 1
+            acts[row] = count = acts.get(row, 0) + 1
             total += 1
             if trr is not None:
                 victims = trr.on_activation(bank_idx, row)
@@ -443,18 +458,32 @@ class DramModule:
                 if victims:
                     self._refresh_victims(bank, row, victims, "dram.para")
             marks = bank.flip_marks
+            bounds = bank.flip_bounds
             for delta in deltas:
                 victim = row + delta
                 if 0 <= victim < rows_per_bank:
+                    bound = bounds.get(victim)
+                    # The victim's raw neighbour sum; ``row`` is one of them.
+                    if far:
+                        raw = (acts.get(victim - 2, 0) + acts.get(victim - 1, 0)
+                               + acts.get(victim + 1, 0) + acts.get(victim + 2, 0))
+                    else:
+                        raw = count + acts.get(victim + delta, 0)
+                    if bound is not None and raw < bound:
+                        continue  # its disturbance is still below its mark
                     threshold = marks.get(victim)
                     if threshold is None:
-                        threshold = marks[victim] = self.vulnerability.min_threshold(
-                            bank_idx, victim
-                        )
+                        threshold = marks[victim] = min_threshold(bank_idx, victim)
                     # Here evaluation has no other effect, so a victim
                     # whose every cell is applied is skipped.
                     if threshold != _INF:
-                        evaluate(bank, victim, threshold)
+                        disturbance = evaluate(bank, victim, threshold)
+                        threshold = marks[victim]
+                    if threshold == _INF:
+                        bounds[victim] = _INF
+                    else:
+                        step = int((threshold - disturbance) / per_act)
+                        bounds[victim] = raw + (step if step > 1 else 1)
         if hits:
             self._row_hits.value += hits
         if total:
@@ -483,9 +512,10 @@ class DramModule:
         threshold: float,
         capped: Optional[bool] = None,
         result: Optional[HammerResult] = None,
-    ) -> None:
+    ) -> float:
         """Apply the flips the victim's disturbance since its last refresh
-        has earned; ``threshold`` is its flip mark.
+        has earned, and return the disturbance; ``threshold`` is its flip
+        mark.
 
         ``capped`` is None on the ordered stream, where TRR and PARA have
         already acted on every ACT.  Where a window histogram stands in for
@@ -521,6 +551,7 @@ class DramModule:
                         result.para_refreshes += refreshes
         if disturbance >= threshold:
             self._apply_flips(bank, victim, disturbance, threshold)
+        return disturbance
 
     def _apply_flips(
         self, bank: Bank, victim: int, disturbance: float, mark: float

@@ -138,15 +138,19 @@ class TargetRowRefresh:
         """Account one activation; returns victim rows to refresh (may be
         empty)."""
         if self.per_bank:
-            tracker = self._trackers.setdefault(bank, {})
+            slot = bank
             key: Any = row
         else:
-            tracker = self._trackers.setdefault(0, {})
+            slot = 0
             key = (bank, row)
-        if key in tracker:
-            tracker[key] += 1
+        tracker = self._trackers.get(slot)
+        if tracker is None:
+            tracker = self._trackers[slot] = {}
+        count = tracker.get(key)
+        if count is not None:
+            count += 1
         elif len(tracker) < self.tracker_capacity:
-            tracker[key] = 1
+            count = 1
         elif self.sampling_policy == "first_k_per_window":
             # Sampler full: rows beyond the first K distinct arrivals are
             # invisible until the next refresh window.  This is the gap a
@@ -157,22 +161,23 @@ class TargetRowRefresh:
             # get unlucky at a seeded-reproducible rate.
             evicted = self._rng.choice(list(tracker))
             del tracker[evicted]
-            tracker[key] = 1
+            count = 1
         else:
             # Sampler full: replace the coldest entry.  This is the
             # TRRespass evasion point — with more aggressors than entries,
             # every row keeps getting reset to a count of 1.
             coldest = min(tracker, key=tracker.get)
             del tracker[coldest]
-            tracker[key] = 1
-        if tracker[key] >= self.refresh_threshold:
-            tracker[key] = 0
-            self.refreshes_issued += 1
-            radius = self.neighbor_radius
-            return [row - d for d in range(radius, 0, -1)] + [
-                row + d for d in range(1, radius + 1)
-            ]
-        return []
+            count = 1
+        if count < self.refresh_threshold:
+            tracker[key] = count
+            return []
+        tracker[key] = 0
+        self.refreshes_issued += 1
+        radius = self.neighbor_radius
+        return [row - d for d in range(radius, 0, -1)] + [
+            row + d for d in range(1, radius + 1)
+        ]
 
     def on_window(self, bank: int) -> None:
         """Regular refresh window rollover clears the sampler."""

@@ -5,7 +5,9 @@ Design notes relevant to the reproduction:
 * **No page cache.**  Every read walks superblock -> inode -> (indirect
   block | extent list) -> data block through the block device, so every
   access generates FTL L2P traffic and a redirected block is visible on
-  the very next read.
+  the very next read of it.  The one exception is the dentry cache: a
+  lookup of a name it holds reads no directory block, so it does not see
+  a directory block that a redirected read changed (``listdir`` does).
 * **Directories always use the indirect scheme** (they are filesystem-
   internal and never user-selectable); *files* default to extent trees
   and may opt into indirect addressing — unless the superblock's
@@ -107,8 +109,10 @@ class Ext4Fs:
         self.inode_alloc = BitmapAllocator(
             device, superblock.inode_bitmap_start, superblock.inode_count
         )
-        #: (parent_ino, name) -> ino lookup cache (a dentry cache; the disk
-        #: stays authoritative and misses fall back to scanning).
+        #: (parent_ino, name) -> ino lookup cache (a dentry cache).  A hit
+        #: is answered without reading the directory, so it outlives a
+        #: change to the directory's blocks that bypasses _dir_add and
+        #: _dir_remove; a miss falls back to scanning.
         self._dcache: Dict[Tuple[int, str], int] = {}
         #: physical block -> its last parsed directory block.  Every use
         #: still reads the block; the parse is reused only while the bytes

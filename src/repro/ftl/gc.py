@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from repro.errors import FlashEraseError
+from repro.errors import FlashEraseError, FlashReadError
 
 
 @dataclass
@@ -67,8 +67,15 @@ class GreedyGarbageCollector:
                 ftl.invalidate(lba, ppa)
                 stats.dropped_stale_pages += 1
                 continue
-            data = ftl.flash.read_page(ppa)
-            stats.flash_time += timing.read_page
+            for attempt in range(3):  # place_page's bound on programs
+                stats.flash_time += timing.read_page
+                try:
+                    data = ftl.flash.read_page(ppa)
+                    break
+                except FlashReadError:
+                    if attempt == 2:
+                        ftl.gc_active = False  # the pass is over, not cut
+                        raise
             new_ppa = ftl.place_page(lba, data)
             stats.flash_time += timing.program_page
             if ppa in ftl.dif_tags:

@@ -8,6 +8,7 @@ no background threads — so they cost almost nothing on the hot paths.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import Dict, List, Optional
 
 
@@ -81,7 +82,7 @@ class Histogram:
     """Fixed-bucket histogram for latency/size distributions.
 
     ``bounds`` are the inclusive upper edges of each bucket; values above the
-    last bound land in an overflow bucket.
+    last bound, and NaN, land in an overflow bucket.
     """
 
     __slots__ = ("name", "bounds", "counts", "total", "sum")
@@ -98,11 +99,9 @@ class Histogram:
     def observe(self, value: float) -> None:
         self.total += 1
         self.sum += value
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.counts[i] += 1
-                return
-        self.counts[-1] += 1
+        # The first bound at or above the value; NaN (unequal to itself)
+        # compares below no bound.
+        self.counts[bisect_left(self.bounds, value) if value == value else -1] += 1
 
     def observe_many(self, value: float, count: int) -> None:
         """Record ``count`` identical observations in one call (batch paths
@@ -113,11 +112,7 @@ class Histogram:
             return
         self.total += count
         self.sum += value * count
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.counts[i] += count
-                return
-        self.counts[-1] += count
+        self.counts[bisect_left(self.bounds, value) if value == value else -1] += count
 
     @property
     def mean(self) -> float:

@@ -222,6 +222,9 @@ def check_dram(dram) -> None:
     * Every weak cell below a victim's flip mark holds its ``flips_to``
       value, unless its region was never allocated or is the check region
       of a module without ECC (flips do not land there).
+    * Every victim with an evaluation bound has a flip mark, an ``inf``
+      bound only with an ``inf`` mark, and a victim whose neighbours' ACT
+      sum is below its bound has disturbance below its mark.
     """
     geometry = dram.geometry
     window_total = 0
@@ -261,6 +264,7 @@ def check_dram(dram) -> None:
                         % (bank.index, victim, base, current),
                     )
         _check_flip_marks(dram, bank)
+        _check_flip_bounds(dram, bank)
 
     activations = dram.metrics.counter("activations").value
     if window_total > activations:
@@ -324,6 +328,25 @@ def _check_flip_marks(dram, bank) -> None:
                     % (bank.index, victim, cell.byte_offset, cell.bit, mark,
                        cell.flips_to),
                 )
+
+
+def _check_flip_bounds(dram, bank) -> None:
+    """An evaluation bound holds back only evaluations that cannot flip."""
+    vulnerability = dram.vulnerability
+    deltas = (-2, -1, 1, 2) if vulnerability.neighbor2_weight else (-1, 1)
+    for victim, bound in bank.flip_bounds.items():
+        mark = bank.flip_marks.get(victim)
+        if mark is None or (bound == float("inf") and mark != bound):
+            _fail("dram", "bank %d victim %d has evaluation bound %r but flip "
+                  "mark %r" % (bank.index, victim, bound, mark))
+        raw = sum(bank.acts.get(victim + delta, 0) for delta in deltas)
+        disturbance = vulnerability.disturbance(
+            *bank.victim_side_counts(victim), *bank.victim_far_counts(victim)
+        )
+        if raw < bound and disturbance >= mark:
+            _fail("dram", "bank %d victim %d: disturbance %r reached flip mark "
+                  "%r with neighbour ACTs %d below its evaluation bound %r"
+                  % (bank.index, victim, disturbance, mark, raw, bound))
 
 
 # ----------------------------------------------------------------------

@@ -114,6 +114,10 @@ def apply(dram, op):
         (bank, row), word, value = args
         dram.write(addr_of(dram, bank, row, 8 * word), bytes([value]) * 8)
         return None
+    if kind == "rewrite":
+        (bank, row), content = args
+        dram.write(addr_of(dram, bank, row), content)
+        return None
     if kind == "read_batch":
         (rows,) = args
         addrs = [addr_of(dram, bank, row, 8 * row) for bank, row in rows]

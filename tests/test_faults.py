@@ -12,6 +12,7 @@ from repro.errors import (
     PowerLossInterrupt,
 )
 from repro.faults import FaultEvent, FaultPlan
+from repro.nvme import NvmeCommand, Opcode, StatusCode
 
 from tests.conftest import build_stack
 
@@ -168,6 +169,46 @@ class TestGcProgramFault:
         assert failed in ftl.retired_blocks
         for lba, data in acked.items():
             assert ftl.read(lba).data == data, "lost LBA %d" % lba
+        ftl.check()
+
+
+class TestGcReadFault:
+    """Host writes through the controller read nothing from flash, so
+    read 0 is the first GC relocation's victim read."""
+
+    def write_until_gc_fails(self, failing_reads):
+        plan = FaultPlan(
+            events=tuple(
+                FaultEvent(op="read", index=index, kind="read_error")
+                for index in failing_reads
+            )
+        )
+        controller, _d, ftl = build_stack(fault_plan=plan)
+        controller.create_namespace(1, 0, ftl.num_lbas)
+        rng = random.Random(7)
+        lbas = list(range(ftl.num_lbas)) + [
+            rng.randrange(ftl.num_lbas) for _ in range(200)
+        ]
+        for index, lba in enumerate(lbas):
+            completion = controller.submit(
+                NvmeCommand(Opcode.WRITE, 1, lba, data=payload(ftl, index % 256))
+            )
+            if ftl.flash.injector.log or not completion.ok:
+                return completion, ftl
+        raise AssertionError("no GC relocation read")
+
+    def test_one_failed_read_is_retried(self):
+        completion, ftl = self.write_until_gc_fails([0])
+        assert [fault.kind for fault in ftl.flash.injector.log] == ["read_error"]
+        assert completion.status is StatusCode.SUCCESS
+        assert not ftl.gc_active
+        ftl.check()
+
+    def test_three_failed_reads_fail_the_write(self):
+        completion, ftl = self.write_until_gc_fails([0, 1, 2])
+        assert len(ftl.flash.injector.log) == 3
+        assert completion.status is StatusCode.MEDIA_READ_ERROR
+        assert not ftl.gc_active
         ftl.check()
 
 

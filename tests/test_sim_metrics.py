@@ -244,6 +244,15 @@ _values = st.lists(
 )
 
 
+def _scan_bucket(bounds, value):
+    """The reference bucket: the first bound at or above the value, by a
+    linear scan; NaN and values above every bound overflow."""
+    for i, bound in enumerate(bounds):
+        if value <= bound:
+            return i
+    return len(bounds)
+
+
 def _hist_of(bounds, values):
     hist = Histogram("h", bounds)
     for value in values:
@@ -252,6 +261,27 @@ def _hist_of(bounds, values):
 
 
 class TestHistogramProperties:
+    @given(
+        data=st.data(),
+        bounds=st.lists(st.floats(allow_nan=False), min_size=1, max_size=6).map(sorted),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bucket_matches_the_scan(self, data, bounds):
+        """Any float, ±inf and NaN included, and values equal to a bound
+        land where the linear scan puts them, one at a time or in bulk."""
+        values = data.draw(
+            st.lists(st.one_of(st.floats(), st.sampled_from(bounds)), max_size=30)
+        )
+        single, bulk = Histogram("a", bounds), Histogram("b", bounds)
+        expected = [0] * (len(bounds) + 1)
+        for value in values:
+            expected[_scan_bucket(bounds, value)] += 1
+            single.observe(value)
+            bulk.observe_many(value, 3)
+        assert single.counts == expected
+        assert bulk.counts == [3 * count for count in expected]
+        assert single.total == len(values)
+
     @given(bounds=_bounds, values=_values)
     @settings(max_examples=60, deadline=None)
     def test_cumulative_buckets_monotone_and_conserve_total(self, bounds, values):

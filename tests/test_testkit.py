@@ -161,13 +161,19 @@ class TestDramInvariants:
         with pytest.raises(InvariantViolation, match="in_check_region"):
             dram.check()
 
-    def test_bit_restored_behind_a_flip_mark_detected(self):
+    @staticmethod
+    def charged_victim():
+        """A FRAGILE module whose bank-0 row 100 holds every weak cell in
+        its charged state, so each one flips."""
         _c, dram, _f = build_stack(profile=FRAGILE)
-        # Charge every weak cell of the victim, so each one flips.
         content = bytearray(dram.geometry.row_bytes)
         for cell in dram.vulnerability.row_vulnerability(0, 100).cells:
             content[cell.byte_offset] |= (1 - cell.flips_to) << cell.bit
         dram.write(dram.mapping.address_of(DramAddress(0, 100, 0)), bytes(content))
+        return dram
+
+    def test_bit_restored_behind_a_flip_mark_detected(self):
+        dram = self.charged_victim()
         dram.activate_burst([(0, 99), (0, 101)] * 200)
         flip = dram.flips[0]
         dram.check()
@@ -175,6 +181,28 @@ class TestDramInvariants:
         # still says its cell was applied.
         dram.banks[flip.bank].data_rows[flip.row][flip.byte_offset] = flip.old_byte
         with pytest.raises(InvariantViolation, match="flip mark"):
+            dram.check()
+
+    def test_stale_evaluation_bound_detected(self):
+        dram = self.charged_victim()
+        dram.activate_burst([(0, 99), (0, 101)])
+        bank = dram.banks[0]
+        assert bank.flip_bounds[100] > 2
+        dram.check()
+        # A bound the victim's disturbance has outgrown: the stream skips
+        # every evaluation the hammering below owes.
+        bank.flip_bounds[100] = 10 ** 9
+        dram.activate_burst([(0, 99), (0, 101)] * 200)
+        assert not [flip for flip in dram.flips if flip.row == 100]
+        with pytest.raises(InvariantViolation, match="below its evaluation bound"):
+            dram.check()
+
+    def test_evaluation_bound_without_its_flip_mark_detected(self):
+        _c, dram, _f = build_stack(profile=FRAGILE)
+        dram.activate_burst([(0, 99), (0, 101)])
+        dram.check()
+        dram.banks[0].flip_marks.pop(100)
+        with pytest.raises(InvariantViolation, match="flip mark None"):
             dram.check()
 
     def test_inspect_is_side_effect_free(self):
