@@ -18,6 +18,7 @@ from repro.dram import (
     SecdedCodec,
     VulnerabilityModel,
 )
+from repro.dram.trr import SAMPLING_POLICIES
 from repro.ext4 import Credentials, Ext4Fs, crc32c
 from repro.flash import FlashArray, FlashGeometry
 from repro.ftl import FtlConfig, PageMappingFtl
@@ -86,12 +87,13 @@ def test_dram_batch_hammer_window(benchmark, dram):
     assert result.accesses == 100_000
 
 
-def planted_probe(aggressor_count):
+def planted_probe(aggressor_count, policy="counter_lru"):
     """One planted onset-scan probe of U-TRR inference: ``aggressor_count``
-    aggressors against a four-entry counter_lru sampler, 512 cycles.  Each
+    aggressors against a four-entry ``policy`` sampler, 512 cycles.  Each
     call rewrites the victims, opens a fresh window and runs the ACTs."""
     dram = build_utrr_target(
-        {"tracker_capacity": 4, "refresh_threshold": 24}, seed=1
+        {"tracker_capacity": 4, "refresh_threshold": 24, "sampling_policy": policy},
+        seed=1,
     )
     pipeline = UtrrPipeline(dram)
     aggressors = [pipeline.aggressor(i) for i in range(aggressor_count)]
@@ -108,9 +110,11 @@ def planted_probe(aggressor_count):
     return op
 
 
-def test_dram_activate_burst(benchmark):
-    """Five aggressors thrash the sampler, so the victims flip."""
-    assert benchmark(planted_probe(5))
+@pytest.mark.parametrize("policy", SAMPLING_POLICIES)
+def test_dram_activate_burst(benchmark, policy):
+    """Five aggressors overflow the sampler, so victims flip: each ACT the
+    tracker does not hold takes the policy's full-tracker path."""
+    assert benchmark(planted_probe(5, policy))
 
 
 def test_dram_activate_burst_absorbed(benchmark):

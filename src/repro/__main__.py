@@ -39,8 +39,9 @@ from repro.units import format_duration, format_rate, format_size
 
 def _check_testbed(testbed) -> int:
     """Run the invariant layer over a testbed; returns 0 if every layer
-    holds (flip-corrupted L2P entries are exempted — they are the attack
-    working, not a simulator bug)."""
+    holds (flip-corrupted L2P entries are exempted, and a file whose block
+    map is read through one is reported as redirected — they are the
+    attack working, not a simulator bug)."""
     from repro.testkit.invariants import (
         InvariantViolation,
         check_dram,
@@ -49,25 +50,23 @@ def _check_testbed(testbed) -> int:
         flip_affected_lbas,
     )
 
+    affected = flip_affected_lbas(testbed.ftl)
     failures = 0
     checks = [
         ("dram", lambda: check_dram(testbed.dram)),
-        (
-            "ftl",
-            lambda: check_ftl(
-                testbed.ftl, exempt_lbas=flip_affected_lbas(testbed.ftl)
-            ),
-        ),
-        ("ext4", lambda: check_fs(testbed.victim_fs)),
+        ("ftl", lambda: check_ftl(testbed.ftl, exempt_lbas=affected)),
+        ("ext4", lambda: check_fs(testbed.victim_fs, exempt_lbas=affected)),
     ]
     for layer, run in checks:
         try:
-            run()
+            redirected = run()
         except InvariantViolation as violation:
             failures += 1
             print("check %-5s FAIL: %s" % (layer, violation))
         else:
             print("check %-5s ok" % layer)
+            for ino, path in redirected or ():
+                print("  inode %d (%s): block map redirected by a flip" % (ino, path))
     return 0 if failures == 0 else 3
 
 

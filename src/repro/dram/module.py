@@ -420,22 +420,28 @@ class DramModule:
         trr = self.trr
         para = self.para
         tracer = self.tracer
-        rows_per_bank = self._rows_per_bank
+        last_row = self._rows_per_bank - 1
         deltas = self._victim_deltas
         far = len(deltas) == 4
-        per_act = 1.0 + self._synergy
-        min_threshold = self.vulnerability.min_threshold
-        evaluate = self._evaluate_victim
+        evaluate_due = self._evaluate_due
         open_page = self.row_policy == OPEN_PAGE
         total = hits = 0
+        # The bank of the current run of consecutive ACTs to one bank: its
+        # window, ACT counters and bounds are fetched once per run.  The
+        # epoch is fixed for the whole call, so one roll suffices.
+        run_bank = None
         for bank_idx, row in seq:
-            bank = banks[bank_idx]
-            if bank.epoch != epoch:
-                bank.roll_epoch(epoch)
-                if tracer is not None and not explicit:
-                    tracer.emit("dram.refresh", bank=bank_idx, epoch=epoch)
-                if trr is not None:
-                    trr.on_window(bank_idx)
+            if bank_idx != run_bank:
+                run_bank = bank_idx
+                bank = banks[bank_idx]
+                if bank.epoch != epoch:
+                    bank.roll_epoch(epoch)
+                    if tracer is not None and not explicit:
+                        tracer.emit("dram.refresh", bank=bank_idx, epoch=epoch)
+                    if trr is not None:
+                        trr.on_window(bank_idx)
+                acts = bank.acts
+                bounds = bank.flip_bounds
             if not explicit:
                 if not open_page:
                     bank.open_row = None
@@ -446,7 +452,6 @@ class DramModule:
                     bank.open_row = row
                 if tracer is not None:
                     tracer.emit("dram.activate", bank=bank_idx, row=row, count=1)
-            acts = bank.acts
             acts[row] = count = acts.get(row, 0) + 1
             total += 1
             if trr is not None:
@@ -457,33 +462,29 @@ class DramModule:
                 victims = para.on_activation(bank_idx, row)
                 if victims:
                     self._refresh_victims(bank, row, victims, "dram.para")
-            marks = bank.flip_marks
-            bounds = bank.flip_bounds
-            for delta in deltas:
-                victim = row + delta
-                if 0 <= victim < rows_per_bank:
-                    bound = bounds.get(victim)
-                    # The victim's raw neighbour sum; ``row`` is one of them.
-                    if far:
+            # Each victim's raw neighbour sum (``row`` is one of its
+            # neighbours) against its bound; below the bound its
+            # disturbance is still below its mark.
+            if far:
+                for delta in deltas:
+                    victim = row + delta
+                    if 0 <= victim <= last_row:
                         raw = (acts.get(victim - 2, 0) + acts.get(victim - 1, 0)
                                + acts.get(victim + 1, 0) + acts.get(victim + 2, 0))
-                    else:
-                        raw = count + acts.get(victim + delta, 0)
-                    if bound is not None and raw < bound:
-                        continue  # its disturbance is still below its mark
-                    threshold = marks.get(victim)
-                    if threshold is None:
-                        threshold = marks[victim] = min_threshold(bank_idx, victim)
-                    # Here evaluation has no other effect, so a victim
-                    # whose every cell is applied is skipped.
-                    if threshold != _INF:
-                        disturbance = evaluate(bank, victim, threshold)
-                        threshold = marks[victim]
-                    if threshold == _INF:
-                        bounds[victim] = _INF
-                    else:
-                        step = int((threshold - disturbance) / per_act)
-                        bounds[victim] = raw + (step if step > 1 else 1)
+                        bound = bounds.get(victim)
+                        if bound is None or raw >= bound:
+                            evaluate_due(bank, victim, raw)
+                continue
+            if row:
+                raw = count + acts.get(row - 2, 0)
+                bound = bounds.get(row - 1)
+                if bound is None or raw >= bound:
+                    evaluate_due(bank, row - 1, raw)
+            if row < last_row:
+                raw = count + acts.get(row + 2, 0)
+                bound = bounds.get(row + 1)
+                if bound is None or raw >= bound:
+                    evaluate_due(bank, row + 1, raw)
         if hits:
             self._row_hits.value += hits
         if total:
@@ -500,6 +501,27 @@ class DramModule:
         for victim in victims:
             if 0 <= victim < self._rows_per_bank:
                 bank.refresh_victim(victim)
+
+    def _evaluate_due(self, bank: Bank, victim: int, raw: int) -> None:
+        """The ordered stream's evaluation of a victim whose bound its
+        neighbours' raw ACT sum ``raw`` has reached (or that has none):
+        evaluate it against its flip mark and set its next bound."""
+        marks = bank.flip_marks
+        threshold = marks.get(victim)
+        if threshold is None:
+            threshold = marks[victim] = self.vulnerability.min_threshold(
+                bank.index, victim
+            )
+        # Here evaluation has no other effect, so a victim whose every cell
+        # is applied is skipped.
+        if threshold != _INF:
+            disturbance = self._evaluate_victim(bank, victim, threshold)
+            threshold = marks[victim]
+        if threshold == _INF:
+            bank.flip_bounds[victim] = _INF
+        else:
+            step = int((threshold - disturbance) / (1.0 + self._synergy))
+            bank.flip_bounds[victim] = raw + (step if step > 1 else 1)
 
     # ------------------------------------------------------------------
     # victim evaluation

@@ -16,7 +16,10 @@ parameterized component (the BlockHammer framing) so the U-TRR pipeline in
 ``sampling_policy``
     * ``counter_lru`` — count table with evict-min replacement (the
       original model, and the default: byte-identical behaviour to the
-      historical implementation).
+      historical implementation).  When full, it evicts the entry with
+      the lowest count, the oldest insertion among equal counts: it takes
+      ``min`` of the counts, then the first entry in insertion order that
+      holds it, as ``min(tracker, key=tracker.get)`` would.
     * ``random_sample`` — count table with seeded-random replacement when
       full; eviction pressure misses hot rows nondeterministically (but
       reproducibly, per the configured ``seed``).
@@ -143,31 +146,37 @@ class TargetRowRefresh:
         else:
             slot = 0
             key = (bank, row)
-        tracker = self._trackers.get(slot)
-        if tracker is None:
+        try:
+            tracker = self._trackers[slot]
+        except KeyError:  # its first ACT, or its first since rollover
             tracker = self._trackers[slot] = {}
         count = tracker.get(key)
         if count is not None:
             count += 1
         elif len(tracker) < self.tracker_capacity:
             count = 1
-        elif self.sampling_policy == "first_k_per_window":
-            # Sampler full: rows beyond the first K distinct arrivals are
-            # invisible until the next refresh window.  This is the gap a
-            # refresh-synchronized attack fills with decoy activations.
-            return []
-        elif self.sampling_policy == "random_sample":
-            # Sampler full: replace a uniformly random entry.  Hot rows
-            # get unlucky at a seeded-reproducible rate.
-            evicted = self._rng.choice(list(tracker))
-            del tracker[evicted]
-            count = 1
         else:
-            # Sampler full: replace the coldest entry.  This is the
-            # TRRespass evasion point — with more aggressors than entries,
-            # every row keeps getting reset to a count of 1.
-            coldest = min(tracker, key=tracker.get)
-            del tracker[coldest]
+            policy = self.sampling_policy
+            if policy == "counter_lru":
+                # Sampler full: replace the coldest entry, the first in
+                # insertion order among equals.  This is the TRRespass
+                # evasion point — with more aggressors than entries, every
+                # row keeps getting reset to a count of 1.
+                coldest = min(tracker.values())
+                for evicted, held in tracker.items():
+                    if held == coldest:
+                        break
+            elif policy == "random_sample":
+                # Sampler full: replace a uniformly random entry.  Hot rows
+                # get unlucky at a seeded-reproducible rate.
+                evicted = self._rng.choice(list(tracker))
+            else:
+                # first_k_per_window, full: rows beyond the first K distinct
+                # arrivals are invisible until the next refresh window.
+                # This is the gap a refresh-synchronized attack fills with
+                # decoy activations.
+                return []
+            del tracker[evicted]
             count = 1
         if count < self.refresh_threshold:
             tracker[key] = count

@@ -20,6 +20,8 @@ checkpoint:
    pages and retire them properly), empty blocks are free, full blocks
    are sealed, and of the partially-programmed survivors the one with
    the newest data resumes as the open block at its write pointer.
+5. Re-derive degraded mode from those pools: the device is read-only
+   when its spare pool is spent, or when it has no room to write.
 
 TRIMs are not journaled, so a trimmed LBA whose old page was never
 erased is *resurrected* by the scan — permitted by NVMe deallocate
@@ -173,6 +175,11 @@ def recover(ftl) -> RecoveryReport:
     ftl.spare_pool = deque()
     for _ in range(min(spares_left, len(ftl.free_blocks))):
         ftl.spare_pool.append(ftl.free_blocks.pop())
+    # No room to write, as the next write would find it: no open block, no
+    # free block, and no sealed block GC could erase without moving a page.
+    if (open_block < 0 and not ftl.free_blocks
+            and all(ftl.valid_count[block] for block in ftl._sealed)):
+        ftl.read_only = True
 
     ftl._crashed = False
     ftl.metrics.counter("recoveries").add()

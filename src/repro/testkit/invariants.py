@@ -219,9 +219,10 @@ def check_dram(dram) -> None:
       non-negative.
     * Every recorded flip names a cell that exists, and its
       ``in_check_region`` flag matches its byte offset.
-    * Every weak cell below a victim's flip mark holds its ``flips_to``
-      value, unless its region was never allocated or is the check region
-      of a module without ECC (flips do not land there).
+    * Every flip mark names a row of its bank, and every weak cell below
+      a victim's flip mark holds its ``flips_to`` value, unless its region
+      was never allocated or is the check region of a module without ECC
+      (flips do not land there).
     * Every victim with an evaluation bound has a flip mark, an ``inf``
       bound only with an ``inf`` mark, and a victim whose neighbours' ACT
       sum is below its bound has disturbance below its mark.
@@ -302,10 +303,15 @@ def check_dram(dram) -> None:
 
 
 def _check_flip_marks(dram, bank) -> None:
-    """Cells below a victim's flip mark were applied since the row's bytes
-    last changed, so each holds the value it flips to."""
+    """Every flip mark names a row of the bank, and cells below a victim's
+    flip mark were applied since the row's bytes last changed, so each
+    holds the value it flips to."""
     row_bytes = dram.geometry.row_bytes
+    rows_per_bank = dram.geometry.rows_per_bank
     for victim, mark in bank.flip_marks.items():
+        if not 0 <= victim < rows_per_bank:
+            _fail("dram", "bank %d keeps a flip mark for unknown row %d"
+                  % (bank.index, victim))
         cells = dram.vulnerability.row_vulnerability(bank.index, victim).cells
         for cell in cells:
             if cell.threshold >= mark:
@@ -353,7 +359,31 @@ def _check_flip_bounds(dram, bank) -> None:
 # ext4
 # ----------------------------------------------------------------------
 
-def check_fs(fs) -> None:
+def _redirected(fs, inode, exempt: FrozenSet[int]) -> bool:
+    """Whether ``inode``'s block map is read through a device LBA in
+    ``exempt``: an extent leaf, the single- or double-indirect block, or a
+    mid-level block of the double-indirect tree.  Pointers past the
+    filesystem are left to the block-map check."""
+    from repro.ext4.consts import DOUBLE_INDIRECT_SLOT, NO_BLOCK, SINGLE_INDIRECT_SLOT
+    from repro.ext4.extent import ExtentTree
+
+    total = fs.sb.total_blocks
+    translate = fs.device.namespace.translate
+
+    def read_through_flip(block: int) -> bool:
+        return block != NO_BLOCK and block < total and translate(block) in exempt
+
+    if inode.uses_extents:
+        return any(map(read_through_flip, ExtentTree(fs, inode).metadata_blocks()))
+    double = inode.block[DOUBLE_INDIRECT_SLOT]
+    if read_through_flip(inode.block[SINGLE_INDIRECT_SLOT]) or read_through_flip(double):
+        return True
+    if double == NO_BLOCK or double >= total:
+        return False
+    return any(map(read_through_flip, fs._read_pointer_block(double)))
+
+
+def check_fs(fs, exempt_lbas: Iterable[int] = ()) -> List[Tuple[int, str]]:
     """Filesystem structural invariants, walked from the root.
 
     * Every reachable inode parses and stays inside its format limits
@@ -364,6 +394,13 @@ def check_fs(fs) -> None:
     * No two files claim the same block, and every claimed block is marked
       allocated in the on-disk bitmap.
 
+    ``exempt_lbas`` are device LBAs whose L2P entries disturbance flips
+    corrupted (:func:`flip_affected_lbas`, as :func:`check_ftl` takes).
+    An inode whose block map is read through one of them is *redirected*:
+    the attack working, not a filesystem bug.  Its block map is neither
+    checked nor claimed, a redirected directory is not descended into, and
+    the redirected inodes are returned as ``(ino, path)`` in walk order.
+
     Walking the tree performs real device reads; run it at checkpoints,
     not between hammer windows whose timing matters.
     """
@@ -371,6 +408,8 @@ def check_fs(fs) -> None:
     from repro.ext4.consts import NO_BLOCK, ROOT_INO
     from repro.ext4.dirent import DirectoryBlock
 
+    exempt = frozenset(exempt_lbas)
+    redirected: List[Tuple[int, str]] = []
     claims: Dict[int, Tuple[int, str]] = {}
     seen: Set[int] = set()
     stack: List[Tuple[int, str]] = [(ROOT_INO, "/")]
@@ -416,6 +455,9 @@ def check_fs(fs) -> None:
                 "inode %d (%s) is linked but not allocated in the bitmap"
                 % (ino, path),
             )
+        if exempt and _redirected(fs, inode, exempt):
+            redirected.append((ino, path))
+            continue
         try:
             layout = fs._layout_of(inode)
         except (FsCorruptionError, FsError) as exc:
@@ -442,6 +484,7 @@ def check_fs(fs) -> None:
                             % (path, name, child_ino),
                         )
                     stack.append((child_ino, path.rstrip("/") + "/" + name))
+    return redirected
 
 
 # ----------------------------------------------------------------------
@@ -450,12 +493,13 @@ def check_fs(fs) -> None:
 
 def check_stack(ftl=None, dram=None, fs=None, exempt_lbas: Iterable[int] = ()) -> None:
     """Run every applicable layer check in one call (the CLI ``--check``
-    entry point).  ``exempt_lbas`` is forwarded to the FTL check; pass
-    :func:`flip_affected_lbas` output when flips were injected on purpose.
+    entry point).  ``exempt_lbas`` is forwarded to the FTL and filesystem
+    checks; pass :func:`flip_affected_lbas` output when flips were
+    injected on purpose.
     """
     if dram is not None:
         check_dram(dram)
     if ftl is not None:
         check_ftl(ftl, exempt_lbas=exempt_lbas)
     if fs is not None:
-        check_fs(fs)
+        check_fs(fs, exempt_lbas=exempt_lbas)

@@ -218,16 +218,30 @@ class TestFuzzCommand:
         assert saved["ops"]
         capsys.readouterr()
 
-    def test_demo_check_flag(self, capsys):
-        code = main(
-            ["--seed", "3", "demo", "--cycles", "2", "--spray-files", "16",
-             "--hammer-seconds", "30", "--check"]
-        )
+    @staticmethod
+    def run_demo_check(capsys, argv):
+        """Run ``demo --check``; every layer's check must pass."""
+        code = main(argv)
         out = capsys.readouterr().out
         assert "check dram  ok" in out
         assert "check ftl   ok" in out
         assert "check ext4  ok" in out
         assert code in (0, 1)  # leak or not; invariants held either way
+        return code, out
+
+    def test_demo_check_flag(self, capsys):
+        self.run_demo_check(
+            capsys,
+            ["--seed", "3", "demo", "--cycles", "2", "--spray-files", "16",
+             "--hammer-seconds", "30", "--check"],
+        )
+
+    def test_demo_check_flag_default_arguments(self, capsys):
+        """The default run reads a sprayed file's indirect block through a
+        flipped L2P entry: a redirected block map, not a violation."""
+        code, out = self.run_demo_check(capsys, ["demo", "--check"])
+        assert code == 0
+        assert "inode 165 (/.spray-c02-000027): block map redirected" in out
 
 
 class TestDemoGolden:

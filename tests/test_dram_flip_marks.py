@@ -174,12 +174,15 @@ def state(dram):
     )
 
 
-#: The operations' rows: 0-9 of banks 0 and 1, a bank edge and victims
-#: that share aggressors.
+#: The operations' rows: 0-9 and the top four of banks 0 and 1, so both
+#: bank edges and victims that share aggressors.
 BANKS = (0, 1)
 ROW_SPAN = 10
-ROWS = st.tuples(st.sampled_from(BANKS), st.integers(0, ROW_SPAN - 1))
-ALL_ROWS = frozenset((bank, row) for bank in BANKS for row in range(ROW_SPAN))
+ROW_INDICES = tuple(range(ROW_SPAN)) + tuple(
+    range(GEOMETRY.rows_per_bank - 4, GEOMETRY.rows_per_bank)
+)
+ROWS = st.tuples(st.sampled_from(BANKS), st.sampled_from(ROW_INDICES))
+ALL_ROWS = frozenset((bank, row) for bank in BANKS for row in ROW_INDICES)
 #: Aggressor patterns: any rows, or both neighbours of one victim (the
 #: pattern that reaches the FRAGILE thresholds in one window).
 PATTERNS = st.one_of(
@@ -187,7 +190,9 @@ PATTERNS = st.one_of(
     st.builds(
         lambda bank, victim: [(bank, victim - 1), (bank, victim + 1)],
         st.sampled_from(BANKS),
-        st.integers(1, ROW_SPAN - 2),
+        st.sampled_from(
+            [row for row in ROW_INDICES if {row - 1, row + 1} <= set(ROW_INDICES)]
+        ),
     ),
 )
 WORDS = st.integers(0, GEOMETRY.row_bytes // 8 - 1)

@@ -120,6 +120,20 @@ class TestLifecycle:
         ftl = make_ftl(endurance=2, blocks=16, num_lbas=64)
         churn_to_death(ftl, rounds=200)
 
+    def test_recovery_keeps_a_full_device_read_only(self):
+        """A device that degraded for want of a free block is still full
+        after a power cycle: recovery keeps it read-only, so the next
+        write is refused without a second transition."""
+        ftl = make_ftl(endurance=2, blocks=16, num_lbas=64)
+        churn_to_death(ftl, rounds=200)
+        ftl.crash()
+        assert ftl.recover().read_only
+        assert ftl.read_only
+        with pytest.raises(FtlReadOnlyError, match="room to write"):
+            ftl.write(0, b"q" * 512)
+        assert ftl.metrics.counter("read_only_transitions").value == 1
+        ftl.check()
+
     def test_mass_retirement_at_death(self):
         """Uniform wear means the fleet dies together — the retired list
         holds a large share of the device at the point of failure."""

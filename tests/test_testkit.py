@@ -248,6 +248,23 @@ class TestFsInvariants:
         with pytest.raises(InvariantViolation, match="bitmap says is free"):
             fs.check()
 
+    def test_block_map_read_through_a_flipped_entry_is_redirected(self):
+        """An indirect block read through a flip-affected LBA yields an
+        out-of-range pointer: a violation unless that LBA is exempt, and
+        then the file is reported as redirected."""
+        fs = self.make_fs()
+        fs.create("/b.txt", ALICE, addressing="indirect")
+        fs.write("/b.txt", b"x" * (13 * fs.block_bytes), ALICE)
+        indirect = fs.file_layout("/b.txt", ROOT).indirect_block
+        fs.device.write_block(indirect, b"\xff" * fs.block_bytes)
+        lba = fs.device.namespace.translate(indirect)
+        with pytest.raises(InvariantViolation, match="corrupt block map"):
+            check_fs(fs)
+        with pytest.raises(InvariantViolation, match="corrupt block map"):
+            check_fs(fs, exempt_lbas={lba + 1})
+        ino = fs._resolve("/b.txt", ROOT)
+        assert check_fs(fs, exempt_lbas={lba}) == [(ino, "/b.txt")]
+
 
 class TestFlipAttribution:
     def test_l2p_flip_maps_back_to_lba(self):
