@@ -18,10 +18,11 @@ from repro.dram import (
     SecdedCodec,
     VulnerabilityModel,
 )
+from repro.dram.mapping import XorBankMapping
 from repro.dram.trr import SAMPLING_POLICIES
-from repro.ext4 import Credentials, Ext4Fs, crc32c
+from repro.ext4 import ADDR_INDIRECT, Credentials, Ext4Fs, crc32c
 from repro.flash import FlashArray, FlashGeometry
-from repro.ftl import FtlConfig, PageMappingFtl
+from repro.ftl import FtlConfig, LinearL2p, PageMappingFtl
 from repro.host.blockdev import BlockDevice
 from repro.mitigations.encryption import TenantKey, encrypt_block
 from repro.nvme import NvmeController
@@ -75,6 +76,30 @@ def test_dram_write_read(benchmark, dram):
         return dram.read(4096, 64)
 
     assert benchmark(op) == b"y" * 64
+
+
+def test_l2p_entry_roundtrip(benchmark):
+    """One L2P entry lookup plus an update, through an FTL CPU cache that
+    flushes on every access over an XOR-mapped module: the attack
+    testbed's wiring of the FTL's DRAM."""
+    geometry = DramGeometry.small(rows_per_bank=256, row_bytes=1024)
+    dram = DramModule(
+        geometry,
+        VulnerabilityModel(GRANITE, geometry, seed=1),
+        SimClock(),
+        XorBankMapping(geometry),
+    )
+    l2p = LinearL2p(FtlCpuCache(dram, CacheMode.INVALIDATE_EACH_ACCESS), 0, 1024)
+    l2p.initialize()
+    counter = iter(range(10 ** 9))
+
+    def op():
+        lba = next(counter) % 1024
+        ppa = l2p.lookup(lba)
+        l2p.update(lba, lba if ppa is None else ppa + 1)
+
+    benchmark(op)
+    assert l2p.lookup(0) is not None
 
 
 def test_dram_batch_hammer_window(benchmark, dram):
@@ -193,6 +218,28 @@ def test_fs_create_unlink(benchmark):
 
     benchmark.pedantic(op, rounds=200, warmup_rounds=10)
     assert len(fs.listdir("/", ALICE)) == 64
+
+
+def test_fs_spray_file(benchmark):
+    """The spray's per-file path: create an indirect file, write its
+    block 12 (so the single indirect block is allocated), take its block
+    map and unlink it."""
+    controller, _, _ = build_stack(num_lbas=2048)
+    controller.create_namespace(1, 0, 2048)
+    fs = Ext4Fs.mkfs(BlockDevice(controller, 1))
+    block = b"S" * fs.block_bytes
+    counter = iter(range(10 ** 9))
+
+    def op():
+        path = "/.spray-c00-%06d" % next(counter)
+        fs.create(path, ALICE, addressing=ADDR_INDIRECT)
+        fs.write(path, block, ALICE, offset=12 * fs.block_bytes)
+        layout = fs.file_layout(path, ALICE)
+        fs.unlink(path, ALICE)
+        return layout
+
+    benchmark.pedantic(op, rounds=200, warmup_rounds=10)
+    assert fs.listdir("/", ALICE) == []
 
 
 # -- the §5 defenses' kernels, at the sizes the stack calls them with ----

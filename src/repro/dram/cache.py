@@ -76,24 +76,23 @@ class FtlCpuCache:
 
     def read(self, phys_addr: int, length: int) -> bytes:
         """Read through the cache; only misses reach (and hammer) DRAM."""
-        if self.mode is CacheMode.NONE:
-            return self.dram.read(phys_addr, length)
-        if self.mode is CacheMode.INVALIDATE_EACH_ACCESS:
+        mode = self.mode
+        if mode is CacheMode.LRU:
+            return self._read_lru(phys_addr, length)
+        # Only LRU mode fills the cache, so the per-access flush of
+        # INVALIDATE_EACH_ACCESS finds it empty and is skipped.
+        if self._sets and mode is CacheMode.INVALIDATE_EACH_ACCESS:
             self.invalidate_all()
-            return self.dram.read(phys_addr, length)
-        return self._read_lru(phys_addr, length)
+        return self.dram.read(phys_addr, length)
 
     def write(self, phys_addr: int, data: bytes) -> None:
         """Write-through: DRAM is always updated; cached lines refreshed."""
-        if self.mode is CacheMode.NONE:
-            self.dram.write(phys_addr, data)
-            return
-        if self.mode is CacheMode.INVALIDATE_EACH_ACCESS:
+        mode = self.mode
+        if self._sets and mode is CacheMode.INVALIDATE_EACH_ACCESS:
             self.invalidate_all()
-            self.dram.write(phys_addr, data)
-            return
         self.dram.write(phys_addr, data)
-        self._update_cached_lines(phys_addr, data)
+        if mode is CacheMode.LRU:
+            self._update_cached_lines(phys_addr, data)
 
     def read_many(self, phys_addrs, length: int) -> np.ndarray:
         """Bulk read: ``length`` bytes at each address, as ``(n, length)``.

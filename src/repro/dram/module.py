@@ -53,6 +53,17 @@ floor((m - D) / (1 + synergy)))``, never while ``m`` is ``inf``.  An
 evaluation that can flip still runs on the same ACT, so no flip moves.
 The window histogram sets no bound: its TRR cap and PARA division
 understate disturbance.  Evaluating on every ACT is the tests' reference.
+
+Where a byte span lives is a pure function of the mapping, so the scalar
+path (:meth:`~DramModule.read`, :meth:`~DramModule.write`,
+:meth:`~DramModule.inspect`) and the read/write batches take each span's
+per-row segments from one *span memo*, ``(phys_addr, length) ->``
+:meth:`DramModule._segments`.  The FTL reads and writes the same L2P
+entries over and over, so almost every access skips the split; a one-row
+read returns its row's bytes without a join, and a one-row write stores
+its bytes without copying them into an array.  The memo is bounded and
+cleared wholesale, and a span that raises is never stored.  Splitting
+every span afresh is the tests' reference.
 """
 
 from __future__ import annotations
@@ -76,7 +87,10 @@ from repro.sim.metrics import MetricRegistry
 from repro.units import ms
 
 _INF = float("inf")
-_MISSING = object()
+#: Spans the span memo holds before it is cleared wholesale (see
+#: ``DramModule._located``).  4,096 one-row spans take about 1.2 MB; one
+#: device's L2P traffic in the perfbench workloads stays below 4,000.
+_SPAN_MEMO_LIMIT = 4096
 
 #: One refresh window's activations, ``bank -> row -> count``.  Every bank
 #: in a histogram enters the window, even one whose accesses all hit the
@@ -234,20 +248,19 @@ class DramModule:
         self._victim_deltas = (
             (-2, -1, 1, 2) if vulnerability.neighbor2_weight else (-1, 1)
         )
+        # The ordered stream's per-call constants, fixed at construction.
+        self._last_row = geometry.rows_per_bank - 1
+        self._far = len(self._victim_deltas) == 4
+        self._open_page = row_policy == OPEN_PAGE
         # Disturbance coefficients, cached for the inlined arithmetic of
         # the victim evaluator (both fixed at model construction).
         self._synergy = vulnerability.synergy
         self._neighbor2_weight = vulnerability.neighbor2_weight
         #: Validated per-pattern plans for :meth:`hammer`.
         self._pattern_plans: Dict[Tuple[Tuple[int, int], ...], _PatternPlan] = {}
-        #: (addrs, length) -> located coordinate lists.  Attack loops probe
-        #: the same few L2P entry addresses millions of times; the mapping
-        #: is a pure function so the translation can be memoized.  Bounded:
-        #: cleared wholesale if an adversarial workload floods it.
-        self._locate_cache: Dict[
-            Tuple[Tuple[int, ...], int],
-            Optional[Tuple[List[int], List[int], List[int]]],
-        ] = {}
+        #: The span memo: (phys_addr, length) -> the span's
+        #: :meth:`_segments` list.  A span that raises is never stored.
+        self._spans: Dict[Tuple[int, int], List[Tuple[int, int, int, int]]] = {}
         self._reads = self.metrics.counter("reads")
         self._writes = self.metrics.counter("writes")
         self._activations = self.metrics.counter("activations")
@@ -282,6 +295,15 @@ class DramModule:
             length -= chunk
         return segments
 
+    def _located(self, phys_addr: int, length: int) -> List[Tuple[int, int, int, int]]:
+        """:meth:`_segments`, stored in the span memo once it returns."""
+        segments = self._segments(phys_addr, length)
+        spans = self._spans
+        if len(spans) >= _SPAN_MEMO_LIMIT:
+            spans.clear()
+        spans[phys_addr, length] = segments
+        return segments
+
     def _check_addresses(self, pairs: Iterable[Tuple[int, int]]) -> None:
         """Raise :class:`DramAddressError` unless every (bank, row) exists."""
         total_banks = self._total_banks
@@ -303,33 +325,41 @@ class DramModule:
         self._reads.value += 1
         if self.tracer is not None:
             self.tracer.emit("dram.access", op="r", count=1, addr=phys_addr, len=length)
-        parts = []
-        for bank_idx, row, column, chunk in self._segments(phys_addr, length):
+        segments = self._spans.get((phys_addr, length))
+        if segments is None:
+            segments = self._located(phys_addr, length)
+        # Concatenating onto empty bytes copies nothing, so a one-row span
+        # returns its piece as is.
+        data = b""
+        for bank_idx, row, column, chunk in segments:
             self._stream(((bank_idx, row),))
             bank = self.banks[bank_idx]
             if self.ecc_enabled:
-                parts.append(self._read_ecc(bank, row, column, chunk))
+                data += self._read_ecc(bank, row, column, chunk)
                 continue
             # The segment lies inside its row; an unwritten row reads zeros.
             array = bank.data_rows.get(row)
             if array is None:
-                parts.append(b"\x00" * chunk)
+                data += b"\x00" * chunk
             else:
-                parts.append(array[column : column + chunk].tobytes())
-        return b"".join(parts)
+                data += array[column : column + chunk].tobytes()
+        return data
 
     def write(self, phys_addr: int, data: bytes) -> None:
         """Write bytes; activates rows; refreshes any pending flips away."""
         self._writes.value += 1
+        length = len(data)
         if self.tracer is not None:
-            self.tracer.emit("dram.access", op="w", count=1, addr=phys_addr, len=len(data))
-        view = np.frombuffer(bytes(data), dtype=np.uint8)
+            self.tracer.emit("dram.access", op="w", count=1, addr=phys_addr, len=length)
+        segments = self._spans.get((phys_addr, length))
+        if segments is None:
+            segments = self._located(phys_addr, length)
         consumed = 0
-        for bank_idx, row, column, chunk in self._segments(phys_addr, len(view)):
+        for bank_idx, row, column, chunk in segments:
             self._stream(((bank_idx, row),))
             bank = self.banks[bank_idx]
-            piece = view[consumed : consumed + chunk]
-            bank.write(row, column, piece)
+            # Of bytes, a one-row span's slice is ``data`` itself.
+            bank.write(row, column, data[consumed : consumed + chunk])
             if self.ecc_enabled:
                 self._update_check_bytes(bank, row, column, chunk)
             consumed += chunk
@@ -420,11 +450,11 @@ class DramModule:
         trr = self.trr
         para = self.para
         tracer = self.tracer
-        last_row = self._rows_per_bank - 1
+        last_row = self._last_row
         deltas = self._victim_deltas
-        far = len(deltas) == 4
+        far = self._far
         evaluate_due = self._evaluate_due
-        open_page = self.row_policy == OPEN_PAGE
+        open_page = self._open_page
         total = hits = 0
         # The bank of the current run of consecutive ACTs to one bank: its
         # window, ACT counters and bounds are fetched once per run.  The
@@ -877,37 +907,34 @@ class DramModule:
 
     def _locate_batch(self, phys_addrs: Sequence[int], length: int):
         """(banks, rows, columns) lists for a batch of equal-length spans,
-        or None when any span crosses a row boundary (caller falls back).
+        read span by span from the span memo, or None at the first span
+        that does not lie inside one row (the caller falls back to a loop
+        of scalar accesses).
 
-        Batches of up to 8 spans are memoized per (addrs, length): callers
-        treat the lists as read-only, and hammer loops re-probe identical
-        batches.
+        A span that starts inside the module and runs past its end falls
+        back too, so the loop raises at it after the spans before it; one
+        that starts outside the module raises here, before any ACT.
         """
-        key = None
-        if len(phys_addrs) <= 8:
-            key = (tuple(phys_addrs), length)
-            cached = self._locate_cache.get(key, _MISSING)
-            if cached is not _MISSING:
-                return cached
-            if len(self._locate_cache) >= 4096:
-                self._locate_cache.clear()
-        locate3 = self.mapping.locate3
+        spans = self._spans
         banks: List[int] = []
         rows: List[int] = []
         columns: List[int] = []
-        located = banks, rows, columns
-        limit = self._row_bytes - length
         for addr in phys_addrs:
-            bank, row, column = locate3(int(addr))
-            if column > limit:
-                located = None
-                break
+            segments = spans.get((addr, length))
+            if segments is None:
+                try:
+                    segments = self._located(int(addr), length)
+                except DramAddressError:
+                    if 0 <= addr < self._capacity:
+                        return None
+                    raise
+            if len(segments) != 1:
+                return None
+            bank, row, column, _chunk = segments[0]
             banks.append(bank)
             rows.append(row)
             columns.append(column)
-        if key is not None:
-            self._locate_cache[key] = located
-        return located
+        return banks, rows, columns
 
     def read_batch(self, phys_addrs: Sequence[int], length: int) -> np.ndarray:
         """Read ``length`` bytes at each address; returns ``(n, length)``.
@@ -988,14 +1015,17 @@ class DramModule:
         not applied either — ``inspect`` sees exactly what a refresh-
         preserving probe would.
         """
-        parts = []
-        for bank_idx, row, column, chunk in self._segments(phys_addr, length):
+        segments = self._spans.get((phys_addr, length))
+        if segments is None:
+            segments = self._located(phys_addr, length)
+        data = b""
+        for bank_idx, row, column, chunk in segments:
             array = self.banks[bank_idx].data_rows.get(row)
             if array is None:
-                parts.append(b"\x00" * chunk)
+                data += b"\x00" * chunk
             else:
-                parts.append(array[column : column + chunk].tobytes())
-        return b"".join(parts)
+                data += array[column : column + chunk].tobytes()
+        return data
 
     def check(self) -> None:
         """Verify the module's internal invariants (refresh-window

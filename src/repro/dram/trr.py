@@ -22,7 +22,9 @@ parameterized component (the BlockHammer framing) so the U-TRR pipeline in
       holds it, as ``min(tracker, key=tracker.get)`` would.
     * ``random_sample`` — count table with seeded-random replacement when
       full; eviction pressure misses hot rows nondeterministically (but
-      reproducibly, per the configured ``seed``).
+      reproducibly, per the configured ``seed``).  It draws the evicted
+      entry's insertion-order index with ``Random._randbelow``, the one
+      draw ``Random.choice`` makes, and walks the tracker to it.
     * ``first_k_per_window`` — only the first ``tracker_capacity``
       distinct rows activated in each refresh window are ever tracked;
       later arrivals are invisible to the sampler until the window rolls.
@@ -43,6 +45,7 @@ specs, and the serve frontend can vary it without code edits.
 from __future__ import annotations
 
 import random
+from itertools import islice
 from typing import Any, Dict, List, Optional, Union
 
 #: Sampling policies a :class:`TargetRowRefresh` tracker can run.
@@ -168,8 +171,11 @@ class TargetRowRefresh:
                         break
             elif policy == "random_sample":
                 # Sampler full: replace a uniformly random entry.  Hot rows
-                # get unlucky at a seeded-reproducible rate.
-                evicted = self._rng.choice(list(tracker))
+                # get unlucky at a seeded-reproducible rate.  The index is
+                # the draw ``Random.choice`` makes, without the list.
+                evicted = next(
+                    islice(tracker, self._rng._randbelow(len(tracker)), None)
+                )
             else:
                 # first_k_per_window, full: rows beyond the first K distinct
                 # arrivals are invisible until the next refresh window.

@@ -102,6 +102,8 @@ class Ext4Fs:
         self.sb = superblock
         self.block_bytes = superblock.block_size
         self._pointers_per_block = self.block_bytes // _PTR.size
+        #: A new pointer block: every slot NO_BLOCK.
+        self._fresh_pointer_block = _PTR.pack(NO_BLOCK) * self._pointers_per_block
         data_blocks = superblock.total_blocks - superblock.data_start
         self.block_alloc = BitmapAllocator(
             device, superblock.block_bitmap_start, data_blocks
@@ -210,9 +212,17 @@ class Ext4Fs:
             struct.unpack("<%dI" % self._pointers_per_block, raw)
         )
 
-    def _write_pointer_block(self, block: int, pointers: List[int]) -> None:
-        raw = struct.pack("<%dI" % self._pointers_per_block, *pointers)
-        self.device.write_block(block, raw)
+    def _read_slot(self, block: int, index: int) -> int:
+        """Slot ``index`` of pointer block ``block``, read from the device
+        (the other slots are not decoded)."""
+        return _PTR.unpack_from(self.device.read_block(block), _PTR.size * index)[0]
+
+    def _write_slot(self, block: int, raw: bytes, index: int, pointer: int) -> None:
+        """Write pointer block ``block`` back as ``raw``, the bytes just
+        read from it, with slot ``index`` set to ``pointer``."""
+        raw = bytearray(raw)
+        _PTR.pack_into(raw, _PTR.size * index, pointer)
+        self.device.write_block(block, bytes(raw))
 
     def _check_pointer(self, pointer: int) -> int:
         if pointer >= self.sb.total_blocks:
@@ -225,8 +235,9 @@ class Ext4Fs:
     def _block_lookup(self, inode: Inode, logical: int) -> int:
         """Logical file block -> filesystem block; 0 inside a hole.
 
-        Indirect traversal re-reads pointer blocks from disk on every call
-        — there is no cache to hide a redirected block.
+        Indirect traversal reads each pointer block on its path from the
+        device on every call — there is no cache to hide a redirected
+        block — and decodes only the slot it follows.
         """
         if inode.uses_extents:
             return self._check_pointer(ExtentTree(self, inode).lookup(logical))
@@ -238,19 +249,20 @@ class Ext4Fs:
             indirect = inode.block[SINGLE_INDIRECT_SLOT]
             if indirect == NO_BLOCK:
                 return NO_BLOCK
-            pointers = self._read_pointer_block(self._check_pointer(indirect))
-            return self._check_pointer(pointers[logical])
+            return self._check_pointer(
+                self._read_slot(self._check_pointer(indirect), logical)
+            )
         logical -= ppb
         if logical < ppb * ppb:
             double = inode.block[DOUBLE_INDIRECT_SLOT]
             if double == NO_BLOCK:
                 return NO_BLOCK
-            level1 = self._read_pointer_block(self._check_pointer(double))
-            mid = level1[logical // ppb]
+            mid = self._read_slot(self._check_pointer(double), logical // ppb)
             if mid == NO_BLOCK:
                 return NO_BLOCK
-            level2 = self._read_pointer_block(self._check_pointer(mid))
-            return self._check_pointer(level2[logical % ppb])
+            return self._check_pointer(
+                self._read_slot(self._check_pointer(mid), logical % ppb)
+            )
         raise FsError("file offset beyond double-indirect reach")
 
     def _allocate_block(self) -> int:
@@ -276,34 +288,30 @@ class Ext4Fs:
         if logical < NUM_DIRECT:
             inode.block[logical] = physical
             return physical
+        device = self.device
         index = logical - NUM_DIRECT
         if index < ppb:
             indirect = inode.block[SINGLE_INDIRECT_SLOT]
             if indirect == NO_BLOCK:
                 indirect = self._allocate_block()
-                self._write_pointer_block(indirect, [NO_BLOCK] * ppb)
+                device.write_block(indirect, self._fresh_pointer_block)
                 inode.block[SINGLE_INDIRECT_SLOT] = indirect
-            pointers = self._read_pointer_block(indirect)
-            pointers[index] = physical
-            self._write_pointer_block(indirect, pointers)
+            self._write_slot(indirect, device.read_block(indirect), index, physical)
             return physical
         index -= ppb
         if index < ppb * ppb:
             double = inode.block[DOUBLE_INDIRECT_SLOT]
             if double == NO_BLOCK:
                 double = self._allocate_block()
-                self._write_pointer_block(double, [NO_BLOCK] * ppb)
+                device.write_block(double, self._fresh_pointer_block)
                 inode.block[DOUBLE_INDIRECT_SLOT] = double
-            level1 = self._read_pointer_block(double)
-            mid = level1[index // ppb]
+            level1 = device.read_block(double)
+            mid = _PTR.unpack_from(level1, _PTR.size * (index // ppb))[0]
             if mid == NO_BLOCK:
                 mid = self._allocate_block()
-                self._write_pointer_block(mid, [NO_BLOCK] * ppb)
-                level1[index // ppb] = mid
-                self._write_pointer_block(double, level1)
-            level2 = self._read_pointer_block(mid)
-            level2[index % ppb] = physical
-            self._write_pointer_block(mid, level2)
+                device.write_block(mid, self._fresh_pointer_block)
+                self._write_slot(double, level1, index // ppb, mid)
+            self._write_slot(mid, device.read_block(mid), index % ppb, physical)
             return physical
         raise FsError("file offset beyond double-indirect reach")
 

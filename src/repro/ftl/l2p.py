@@ -98,7 +98,9 @@ class L2pTable:
         The read goes through the cache to DRAM, activating the entry's row
         — this is the access the rowhammer workload multiplies.
         """
-        raw = self.memory.read(self.entry_address(lba), ENTRY_BYTES)
+        raw = self.memory.read(
+            self.base_addr + ENTRY_BYTES * self.slot_of(lba), ENTRY_BYTES
+        )
         (ppa,) = _ENTRY.unpack(raw)
         return None if ppa == UNMAPPED else ppa
 
@@ -119,7 +121,9 @@ class L2pTable:
         """Point ``lba`` at ``ppa``."""
         if not 0 <= ppa < UNMAPPED:
             raise ConfigError("PPA %d does not fit a 32-bit entry" % ppa)
-        self.memory.write(self.entry_address(lba), _ENTRY.pack(ppa))
+        self.memory.write(
+            self.base_addr + ENTRY_BYTES * self.slot_of(lba), _ENTRY.pack(ppa)
+        )
 
     def clear(self, lba: int) -> None:
         """Mark ``lba`` unmapped (trim)."""

@@ -3,6 +3,8 @@
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.attack import (
     DeviceProfile,
@@ -21,6 +23,30 @@ from repro.attack.polyglot import is_malicious_block, read_indirect_block
 from repro.attack.spray import spread_targets, unspray_victim_filesystem
 from repro.errors import AttackError, ConfigError
 from repro.scenarios import ATTACKER_PROCESS, build_cloud_testbed
+
+
+def craft_indirect_block_from_list(target_lbas, block_bytes, fill_lba=0):
+    """The reference forged block: a full pointer list, packed whole."""
+    pointers_per_block = block_bytes // 4
+    if len(target_lbas) > pointers_per_block:
+        raise AttackError("too many targets")
+    pointers = list(target_lbas) + [fill_lba] * (pointers_per_block - len(target_lbas))
+    return struct.pack("<%dI" % pointers_per_block, *pointers)
+
+
+POINTERS = st.integers(0, 0xFFFFFFFF)
+
+
+@st.composite
+def forged_blocks(draw):
+    """(targets, block size, fill): block sizes from 4 bytes up, not only
+    multiples of 4; blocks of up to 512 bytes are sometimes full."""
+    block_bytes = draw(st.one_of(st.sampled_from((512, 1024, 4096)), st.integers(4, 300)))
+    slots = block_bytes // 4
+    full = st.just(slots) if slots <= 128 else st.nothing()
+    count = draw(st.one_of(full, st.integers(0, min(slots, 40))))
+    targets = draw(st.lists(POINTERS, min_size=count, max_size=count))
+    return targets, block_bytes, draw(POINTERS)
 
 
 @pytest.fixture()
@@ -52,6 +78,21 @@ class TestPolyglot:
     def test_too_many_targets(self):
         with pytest.raises(AttackError):
             craft_indirect_block(list(range(200)), block_bytes=512)
+
+    @settings(max_examples=150, deadline=None)
+    @given(forged=forged_blocks())
+    def test_matches_the_packed_list(self, forged):
+        """Packing the targets and repeating the fill's four bytes gives
+        the whole list's bytes, for a full block (no fill slot) too."""
+        targets, block_bytes, fill = forged
+        assert craft_indirect_block(targets, block_bytes, fill) == (
+            craft_indirect_block_from_list(targets, block_bytes, fill)
+        )
+
+    def test_full_block_has_no_fill(self):
+        targets = list(range(100, 228))
+        block = craft_indirect_block(targets, block_bytes=512, fill_lba=-1)
+        assert read_indirect_block(block) == targets
 
     def test_polyglot_roundtrip(self):
         block = craft_polyglot_block("chmod u+s /bin/sh", block_bytes=512)

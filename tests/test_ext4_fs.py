@@ -1,4 +1,12 @@
-"""Integration tests for the ext4-like filesystem over the full stack."""
+"""Integration tests for the ext4-like filesystem over the full stack.
+
+:class:`ListPointerFs` is the reference for indirect block mapping: it
+decodes a whole pointer block into a list to follow or set one slot, and
+packs the whole list back, where :class:`Ext4Fs` reads and rewrites the
+one slot in the block's bytes.
+"""
+
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +26,13 @@ from repro.ext4 import (
     Ext4Fs,
     ROOT,
 )
-from repro.ext4.consts import ROOT_INO
+from repro.ext4.consts import (
+    DOUBLE_INDIRECT_SLOT,
+    NO_BLOCK,
+    NUM_DIRECT,
+    ROOT_INO,
+    SINGLE_INDIRECT_SLOT,
+)
 from repro.ext4.dirent import DirectoryBlock
 from repro.host.blockdev import BlockDevice
 
@@ -28,12 +42,85 @@ ALICE = Credentials(uid=1000, gid=1000)
 MALLORY = Credentials(uid=2000, gid=2000)
 
 
-def make_fs(num_lbas=1024, enforce_extents=False):
+def make_fs(num_lbas=1024, enforce_extents=False, fs_class=Ext4Fs):
     controller, dram, ftl = build_stack(num_lbas=num_lbas)
     controller.create_namespace(1, 0, num_lbas)
     device = BlockDevice(controller, 1)
-    fs = Ext4Fs.mkfs(device, enforce_extents=enforce_extents)
+    fs = fs_class.mkfs(device, enforce_extents=enforce_extents)
     return fs, device, dram
+
+
+class ListPointerFs(Ext4Fs):
+    """The reference: whole-block pointer lists, read-modify-write."""
+
+    def _write_pointer_block(self, block, pointers):
+        raw = struct.pack("<%dI" % self._pointers_per_block, *pointers)
+        self.device.write_block(block, raw)
+
+    def _block_lookup(self, inode, logical):
+        if inode.uses_extents:
+            return super()._block_lookup(inode, logical)
+        ppb = self._pointers_per_block
+        if logical < NUM_DIRECT:
+            return self._check_pointer(inode.block[logical])
+        logical -= NUM_DIRECT
+        if logical < ppb:
+            indirect = inode.block[SINGLE_INDIRECT_SLOT]
+            if indirect == NO_BLOCK:
+                return NO_BLOCK
+            pointers = self._read_pointer_block(self._check_pointer(indirect))
+            return self._check_pointer(pointers[logical])
+        logical -= ppb
+        if logical < ppb * ppb:
+            double = inode.block[DOUBLE_INDIRECT_SLOT]
+            if double == NO_BLOCK:
+                return NO_BLOCK
+            level1 = self._read_pointer_block(self._check_pointer(double))
+            mid = level1[logical // ppb]
+            if mid == NO_BLOCK:
+                return NO_BLOCK
+            level2 = self._read_pointer_block(self._check_pointer(mid))
+            return self._check_pointer(level2[logical % ppb])
+        raise FsError("file offset beyond double-indirect reach")
+
+    def _block_allocate_for(self, inode, logical):
+        ppb = self._pointers_per_block
+        if inode.uses_extents or logical < NUM_DIRECT:
+            return super()._block_allocate_for(inode, logical)
+        existing = self._block_lookup(inode, logical)
+        if existing != NO_BLOCK:
+            return existing
+        physical = self._allocate_block()
+        index = logical - NUM_DIRECT
+        if index < ppb:
+            indirect = inode.block[SINGLE_INDIRECT_SLOT]
+            if indirect == NO_BLOCK:
+                indirect = self._allocate_block()
+                self._write_pointer_block(indirect, [NO_BLOCK] * ppb)
+                inode.block[SINGLE_INDIRECT_SLOT] = indirect
+            pointers = self._read_pointer_block(indirect)
+            pointers[index] = physical
+            self._write_pointer_block(indirect, pointers)
+            return physical
+        index -= ppb
+        if index < ppb * ppb:
+            double = inode.block[DOUBLE_INDIRECT_SLOT]
+            if double == NO_BLOCK:
+                double = self._allocate_block()
+                self._write_pointer_block(double, [NO_BLOCK] * ppb)
+                inode.block[DOUBLE_INDIRECT_SLOT] = double
+            level1 = self._read_pointer_block(double)
+            mid = level1[index // ppb]
+            if mid == NO_BLOCK:
+                mid = self._allocate_block()
+                self._write_pointer_block(mid, [NO_BLOCK] * ppb)
+                level1[index // ppb] = mid
+                self._write_pointer_block(double, level1)
+            level2 = self._read_pointer_block(mid)
+            level2[index % ppb] = physical
+            self._write_pointer_block(mid, level2)
+            return physical
+        raise FsError("file offset beyond double-indirect reach")
 
 
 class TestBasics:
@@ -369,3 +456,81 @@ class TestPropertyFs:
                 fs.write("/" + name, content, ALICE)
         for name, content in files.items():
             assert fs.read("/" + name, ALICE) == content
+
+
+#: Logical blocks of a sparse indirect file on 512-byte blocks (128
+#: pointers a block): direct, single-indirect, and double-indirect blocks
+#: under the first two mid-level blocks.  Farther blocks would make each
+#: block map walk thousands of holes: it looks up every block up to the
+#: file's size.
+SPARSE_BLOCKS = st.one_of(
+    st.integers(0, NUM_DIRECT - 1),
+    st.integers(NUM_DIRECT, NUM_DIRECT + 127),
+    st.integers(NUM_DIRECT + 128, NUM_DIRECT + 128 + 2 * 128 - 1),
+)
+
+
+class TestPointerSlots:
+    """Slot-at-a-time pointer block I/O against :class:`ListPointerFs`."""
+
+    @staticmethod
+    def spray(fs, files):
+        for name, blocks in files.items():
+            fs.create("/" + name, ALICE, addressing=ADDR_INDIRECT)
+            for logical in blocks:
+                data = bytes([logical % 251 + 1]) * fs.block_bytes
+                fs.write("/" + name, data, ALICE, offset=logical * fs.block_bytes)
+
+    @staticmethod
+    def observe(fs, device, files, probes):
+        observed = []
+        for name in files:
+            layout = fs.file_layout("/" + name, ALICE)
+            inode = fs._read_inode(layout.ino)
+            observed.append((
+                layout,
+                [fs._block_lookup(inode, logical) for logical in probes],
+                [device.read_block(block) for block in layout.metadata_blocks],
+            ))
+        return observed
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        files=st.dictionaries(
+            keys=st.sampled_from(("a", "b", "c")),
+            values=st.lists(SPARSE_BLOCKS, min_size=1, max_size=6),
+            min_size=1,
+        ),
+        probes=st.lists(SPARSE_BLOCKS, max_size=8),
+    )
+    def test_slot_io_matches_the_list_reference(self, files, probes):
+        """Same block maps, lookups (holes included), pointer-block bytes
+        and device commands; unlinking frees the same blocks."""
+        sides = []
+        for fs_class in (Ext4Fs, ListPointerFs):
+            fs, device, _dram = make_fs(num_lbas=2048, fs_class=fs_class)
+            assert fs.block_bytes == 512
+            self.spray(fs, files)
+            probes_all = sorted(set(probes) | {b for blocks in files.values() for b in blocks})
+            observed = self.observe(fs, device, files, probes_all)
+            for name in files:
+                fs.unlink("/" + name, ALICE)
+            sides.append((
+                observed,
+                fs.block_alloc.free_count,
+                device.controller.stack_snapshot(),
+            ))
+        assert sides[0] == sides[1]
+
+    def test_fresh_pointer_blocks_hold_no_block(self):
+        fs, device, _dram = make_fs(num_lbas=2048)
+        fs.create("/deep", ALICE, addressing=ADDR_INDIRECT)
+        fs.write("/deep", b"x", ALICE, offset=(NUM_DIRECT + 128 + 130) * fs.block_bytes)
+        layout = fs.file_layout("/deep", ALICE)
+        (mid,) = layout.mid_indirect_blocks
+        assert fs._read_pointer_block(mid) == [NO_BLOCK] * 2 + layout.data_blocks + [
+            NO_BLOCK
+        ] * 125
+        assert fs._read_pointer_block(layout.double_indirect_block) == [NO_BLOCK, mid] + [
+            NO_BLOCK
+        ] * 126
