@@ -5,18 +5,16 @@ Usage (from the repo root)::
 
     PYTHONPATH=src python benchmarks/run_bench.py
 
-Runs ``benchmarks/test_perf_micro.py`` under pytest-benchmark, then two
-sweep-throughput measurements — compute-bound (few huge trials; measures
-process fan-out) and dispatch-bound (thousands of small trials; measures
-per-trial overhead, serial vs pool vs columnar, with a canonical
-record-equality gate) — saves the combined machine-readable output to
-``BENCH_<YYYY-MM-DD>.json``, and prints per-benchmark tables.  Pass extra
-pytest args after ``--``::
+Runs ``benchmarks/test_perf_micro.py`` under pytest-benchmark, then a
+compute-bound sweep-throughput measurement (few huge trials, serial vs
+pool; measures process fan-out), saves the combined machine-readable
+output to ``BENCH_<YYYY-MM-DD>.json``, and prints per-benchmark tables.
+Pass extra pytest args after ``--``::
 
     PYTHONPATH=src python benchmarks/run_bench.py -- -k read_burst
 
 Pass ``--sweep-only`` to skip the pytest micro-benchmarks and run just
-the two sweep measurements (what the CI benchmark job does).
+the sweep measurement (what the CI benchmark job does).
 """
 
 from __future__ import annotations
@@ -39,12 +37,6 @@ SWEEP_TRIALS = 16
 SWEEP_SAMPLES_PER_TRIAL = 500_000
 #: Size the pool to the host.
 SWEEP_POOL_WORKERS = min(4, os.cpu_count() or 1)
-
-#: Dispatch-bound workload: many small trials, where per-trial Python
-#: overhead dominates compute — the regime the columnar executor exists
-#: for, and the regime large RowHammer characterization sweeps live in.
-SMALL_TRIAL_COUNT = 2_000
-SMALL_MC_SAMPLES = 128
 
 
 def _src_path() -> None:
@@ -90,110 +82,6 @@ def run_sweep_bench() -> dict:
     return results
 
 
-def _small_trial_spec(kind: str):
-    from repro.engine import SweepSpec
-
-    if kind == "monte_carlo":
-        return SweepSpec(
-            name="bench-small-trials",
-            kind="monte_carlo",
-            seed=7,
-            repeats=100,
-            base={"trials": SMALL_MC_SAMPLES, "physical_blocks": 4_096},
-            grid={"victim_spray_fraction": [i / 32 for i in range(1, 21)]},
-        )
-    return SweepSpec(
-        name="bench-small-grid",
-        kind="probability_grid",
-        seed=7,
-        repeats=50,
-        base={"cycles": 10, "target": 0.5, "physical_blocks": 262_144},
-        grid={"victim_spray_fraction": [i / 64 for i in range(1, 41)]},
-    )
-
-
-def run_small_trials_bench() -> dict:
-    """Measure dispatch-bound sweep throughput: serial vs pool vs columnar.
-
-    Throughput is the execution phase only (``report.execution_seconds``):
-    expansion, store open, and aggregation are identical across executors
-    and would dilute the comparison.  Besides timing, every columnar run
-    is diffed canonically against its serial run — any record difference
-    fails the benchmark (and the CI job running it).
-    """
-    _src_path()
-    import tempfile
-
-    from repro.engine import EngineConfig, SweepEngine, diff_result_files
-
-    results = {
-        "trials": SMALL_TRIAL_COUNT,
-        "workers": SWEEP_POOL_WORKERS,
-        "cpu_count": os.cpu_count(),
-    }
-    configs = [
-        ("serial", EngineConfig()),
-        ("pool", EngineConfig(workers=SWEEP_POOL_WORKERS)),
-        ("columnar", EngineConfig(columnar=True)),
-    ]
-    with tempfile.TemporaryDirectory() as tmp:
-        for kind in ("monte_carlo", "probability_grid"):
-            section = {}
-            if kind == "monte_carlo":
-                section["samples_per_trial"] = SMALL_MC_SAMPLES
-            store_paths = {}
-            summaries = {}
-            for label, config in configs:
-                store_paths[label] = os.path.join(
-                    tmp, "%s_%s.jsonl" % (kind, label)
-                )
-                # Best of two runs: fsync latency on shared hosts is
-                # noisy enough to swamp a single measurement.
-                best = None
-                reps = 1 if label == "pool" else 2
-                for _ in range(reps):
-                    report = SweepEngine(
-                        _small_trial_spec(kind),
-                        store_path=store_paths[label],
-                        config=config,
-                        fresh=True,
-                    ).run()
-                    if best is None or report.execution_seconds < best:
-                        best = report.execution_seconds
-                if report.executed != SMALL_TRIAL_COUNT:
-                    raise AssertionError(
-                        "%s/%s executed %d of %d trials"
-                        % (kind, label, report.executed, SMALL_TRIAL_COUNT)
-                    )
-                summaries[label] = report.summary_json()
-                section["%s_seconds" % label] = best
-                section["%s_trials_per_sec" % label] = report.executed / best
-                if label == "pool":
-                    section["pool_degraded_to_serial"] = (
-                        report.degraded_to_serial
-                    )
-            for label in ("pool", "columnar"):
-                if summaries[label] != summaries["serial"]:
-                    raise AssertionError(
-                        "%s/%s summary diverged from serial" % (kind, label)
-                    )
-            diffs = diff_result_files(
-                store_paths["serial"], store_paths["columnar"]
-            )
-            section["columnar_record_diffs"] = len(diffs)
-            if diffs:
-                raise AssertionError(
-                    "%s: columnar records differ from serial:\n%s"
-                    % (kind, "\n".join(diffs[:5]))
-                )
-            section["columnar_speedup_vs_serial"] = (
-                section["columnar_trials_per_sec"]
-                / section["serial_trials_per_sec"]
-            )
-            results[kind] = section
-    return results
-
-
 def main(argv: list) -> int:
     date = datetime.date.today().isoformat()
     out_path = os.path.join(REPO_ROOT, "BENCH_%s.json" % date)
@@ -236,8 +124,6 @@ def main(argv: list) -> int:
 
     sweep = run_sweep_bench()
     report["sweep_throughput"] = sweep
-    small = run_small_trials_bench()
-    report["sweep_small_trials"] = small
     with open(out_path, "w") as handle:
         json.dump(report, handle, indent=2)
     print()
@@ -253,19 +139,6 @@ def main(argv: list) -> int:
     print("pool speedup: %.2fx%s"
           % (sweep["speedup"],
              " (degraded to serial)" if sweep["pool_degraded_to_serial"] else ""))
-    print()
-    print("sweep throughput, dispatch-bound (%d small trials, %s cpus):"
-          % (small["trials"], small["cpu_count"]))
-    print("%-38s %12s %12s" % ("kind / mode", "seconds", "trials/sec"))
-    for kind in ("monte_carlo", "probability_grid"):
-        section = small[kind]
-        for label in ("serial", "pool", "columnar"):
-            print("%-38s %12.3f %12.1f"
-                  % ("%s %s" % (kind, label), section["%s_seconds" % label],
-                     section["%s_trials_per_sec" % label]))
-        print("%s columnar speedup: %.1fx (record diffs: %d)"
-              % (kind, section["columnar_speedup_vs_serial"],
-                 section["columnar_record_diffs"]))
     print("\nwrote %s" % os.path.relpath(out_path, REPO_ROOT))
     return 0
 

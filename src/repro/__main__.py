@@ -931,8 +931,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             timeout=args.timeout,
             retries=args.retries,
             trace_dir=args.trace_dir,
-            columnar=args.columnar,
-            check=args.check,
         ),
         fresh=args.fresh,
     )
@@ -962,8 +960,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep_diff(args: argparse.Namespace) -> int:
-    """Canonically compare two sweep result files (the differential gate
-    CI runs between serial and columnar executions)."""
+    """Canonically compare two sweep result files: two runs of one spec,
+    or a resumed run against an uninterrupted one, must agree on every
+    record and its order, ``elapsed`` and ``error`` excluded."""
     from repro.engine import diff_result_files
 
     diffs = diff_result_files(args.file_a, args.file_b)
@@ -1154,12 +1153,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="ignore an existing checkpoint and restart")
     sweep.add_argument("--json", action="store_true",
                        help="print the aggregated summary as JSON")
-    sweep.add_argument("--columnar", action="store_true",
-                       help="batch compatible trials through the columnar "
-                            "executor (records identical to serial)")
-    sweep.add_argument("--check", action="store_true",
-                       help="replay every executed trial through the scalar "
-                            "path and fail on any result mismatch")
     sweep.add_argument("--trace-dir", default=None, metavar="DIR",
                        help="per-trial structured traces land here for the "
                             "fault_campaign, serve/serve_chaos, payload and "

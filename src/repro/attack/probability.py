@@ -101,15 +101,12 @@ def cycles_to_reach(per_cycle: float, target: float) -> int:
 
 # -- vectorized closed-form grid evaluation -----------------------------
 #
-# The ``probability_grid`` trial kind evaluates the §4.3 closed form over
-# whole parameter grids.  Scalar trials and the columnar engine both go
-# through the helpers below (with length-1 vs. length-n arrays), so their
-# records are byte-identical by construction: numpy applies the same
-# elementwise kernels either way.
-
-#: Largest integer float64 represents exactly; products beyond this lose
-#: the guarantee that vectorized division matches Python int division.
-EXACT_FLOAT_INT = 2 ** 53
+# The ``probability_grid`` trial kind evaluates the §4.3 closed form
+# through the helpers below rather than the scalar functions above,
+# because its committed records were computed with ``np.power``.  On 2 of
+# the 80 points of ``examples/specs/probability_grid.json``, Python's
+# ``**`` gives a ``cumulative`` one ulp (the last binary digit) away, so
+# switching to the scalar functions would change those records' bytes.
 
 
 def grid_single_cycle(
@@ -121,9 +118,8 @@ def grid_single_cycle(
     """``F_v (F_v + 2 F_a) / (4 C_v PB)`` over aligned arrays.
 
     Matches :func:`single_cycle_success_probability` bit-for-bit while the
-    exact numerator and denominator stay below ``EXACT_FLOAT_INT`` (the
-    planner guards this; beyond it Python's big-int division rounds once
-    where float64 would round twice).
+    exact numerator and denominator stay below ``2**53``; beyond it
+    Python's big-int division rounds once where float64 rounds twice.
     """
     f_v = np.asarray(victim_sprayed, dtype=np.float64)
     f_a = np.asarray(attacker_sprayed, dtype=np.float64)
@@ -133,7 +129,7 @@ def grid_single_cycle(
 
 
 def grid_cumulative(per_cycle: np.ndarray, cycles: np.ndarray) -> np.ndarray:
-    """``1 - (1-p)**c`` elementwise (numpy power on both paths)."""
+    """``1 - (1-p)**c`` elementwise, with ``np.power`` (see above)."""
     base = 1.0 - np.asarray(per_cycle, dtype=np.float64)
     return 1.0 - np.power(base, np.asarray(cycles, dtype=np.float64))
 

@@ -1036,10 +1036,6 @@ class DramModule:
 
         check_dram(self)
 
-    def flips_since(self, index: int) -> List[FlipEvent]:
-        """Flip events appended after ``index`` (a previous len(flips))."""
-        return self.flips[index:]
-
     def flipped_addresses(self, events: Optional[Iterable[FlipEvent]] = None) -> List[int]:
         """Physical byte addresses corrupted by the given flips (data region
         only; check-region flips have no physical byte address)."""

@@ -21,12 +21,6 @@ engine; new experiment types plug in via
 """
 
 from repro.engine.aggregate import fold_metrics, summarize, summary_to_json
-from repro.engine.columnar import (
-    ColumnarExecutor,
-    columnar_kinds,
-    plan_batches,
-    register_columnar_kind,
-)
 from repro.engine.engine import EngineConfig, SweepEngine, SweepReport, run_sweep
 from repro.engine.pool import SerialExecutor, WorkerPool, make_executor
 from repro.engine.runner import execute_trial, register_trial_kind, trial_kinds
@@ -47,14 +41,10 @@ __all__ = [
     "run_sweep",
     "SerialExecutor",
     "WorkerPool",
-    "ColumnarExecutor",
     "make_executor",
     "execute_trial",
     "register_trial_kind",
     "trial_kinds",
-    "register_columnar_kind",
-    "columnar_kinds",
-    "plan_batches",
     "MemoryStore",
     "ResultStore",
     "canonical_record",

@@ -8,7 +8,8 @@
    previous run (checkpoint/resume);
 3. executes the remainder — serially in-process, or on a
    :class:`~repro.engine.pool.WorkerPool` with per-trial timeout and
-   bounded retry — appending each finished trial to the store;
+   bounded retry — appending finished trials to the store in
+   :data:`~repro.engine.pool.BATCH_RECORDS` chunks;
 4. folds all completed records into metrics and the deterministic
    aggregated summary.
 
@@ -47,19 +48,6 @@ class EngineConfig:
     #: only); None = tracing off.  Observability only: summaries and
     #: checkpoint records are byte-identical with and without it.
     trace_dir: Optional[str] = None
-    #: Run structurally-compatible trials through the columnar executor
-    #: (:mod:`repro.engine.columnar`): batches of trials as one numpy
-    #: program, records canonically identical to serial execution.
-    #: Single-process; takes precedence over ``workers``.
-    columnar: bool = False
-    #: Trials per columnar kernel invocation (keeps working sets
-    #: cache-resident; scheduling only, never results).
-    chunk_trials: int = 256
-    #: After execution, replay every ok trial from this run through the
-    #: scalar path and fail the sweep if any result dict differs — the
-    #: determinism invariant as a runtime check.  Doubles (at least) the
-    #: cost; meant for CI and differential debugging.
-    check: bool = False
 
 
 @dataclass
@@ -78,10 +66,6 @@ class SweepReport:
     #: True when the pool was requested but unavailable and the engine
     #: degraded to serial execution.
     degraded_to_serial: bool = False
-    #: Wall-clock seconds spent in the execution phase alone (no
-    #: expansion, store IO on open, or aggregation) — the denominator
-    #: for trials/sec comparisons across executors.
-    execution_seconds: float = 0.0
     metrics: MetricRegistry = field(default_factory=MetricRegistry)
 
     @property
@@ -133,19 +117,11 @@ class SweepEngine:
                 retries=self.config.retries,
                 backoff_base=self.config.backoff_base,
                 backoff_cap=self.config.backoff_cap,
-                columnar=self.config.columnar,
-                chunk_trials=self.config.chunk_trials,
             )
-            degraded = (
-                self.config.workers > 0
-                and not self.config.columnar
-                and isinstance(executor, SerialExecutor)
+            degraded = self.config.workers > 0 and isinstance(
+                executor, SerialExecutor
             )
             executed: List[Dict[str, Any]] = []
-
-            def on_result(record: Dict[str, Any]) -> None:
-                executed.append(record)
-                self.store.append(record)
 
             def on_results(records: List[Dict[str, Any]]) -> None:
                 executed.extend(records)
@@ -155,15 +131,8 @@ class SweepEngine:
                 import time
 
                 started = time.perf_counter()
-                if getattr(executor, "supports_batch_handoff", False) and hasattr(
-                    self.store, "append_many"
-                ):
-                    executor.run_batched(pending, on_results)
-                else:
-                    executor.run(pending, on_result)
+                executor.run_batched(pending, on_results)
                 execution_seconds = time.perf_counter() - started
-                if self.config.check:
-                    self._check_replay(pending, executed)
         finally:
             self.store.close()
 
@@ -185,40 +154,8 @@ class SweepEngine:
             executed=len(executed),
             skipped=len(completed),
             degraded_to_serial=degraded,
-            execution_seconds=execution_seconds,
             metrics=self.registry,
         )
-
-    def _check_replay(
-        self, pending: List[Any], executed: List[Dict[str, Any]]
-    ) -> None:
-        """The ``check`` invariant hook: every ok result from this run must
-        reproduce bit-for-bit through the scalar path."""
-        import json
-
-        from repro.engine.runner import execute_trial
-        from repro.errors import ConfigError
-
-        by_id = {trial.trial_id: trial for trial in pending}
-        mismatched: List[str] = []
-        for record in executed:
-            if record.get("status") != "ok":
-                continue
-            trial = by_id.get(record["trial_id"])
-            if trial is None:
-                mismatched.append("%s (unknown trial)" % record["trial_id"])
-                continue
-            replayed = execute_trial(trial)
-            if json.dumps(replayed, sort_keys=True) != json.dumps(
-                record["result"], sort_keys=True
-            ):
-                mismatched.append(record["trial_id"])
-        if mismatched:
-            raise ConfigError(
-                "determinism check failed: %d trial(s) did not replay "
-                "identically through the scalar path: %s"
-                % (len(mismatched), ", ".join(sorted(mismatched)[:10]))
-            )
 
 
 def run_sweep(
@@ -228,15 +165,7 @@ def run_sweep(
     timeout: Optional[float] = None,
     retries: int = 0,
     fresh: bool = False,
-    columnar: bool = False,
-    check: bool = False,
 ) -> SweepReport:
     """One-call convenience wrapper around :class:`SweepEngine`."""
-    config = EngineConfig(
-        workers=workers,
-        timeout=timeout,
-        retries=retries,
-        columnar=columnar,
-        check=check,
-    )
+    config = EngineConfig(workers=workers, timeout=timeout, retries=retries)
     return SweepEngine(spec, store_path=store_path, config=config, fresh=fresh).run()

@@ -2,12 +2,11 @@
 
 Both executors implement ``run(trials, on_result)``: execute every trial,
 invoking ``on_result(record)`` in the *calling* process as each trial
-finishes (success or final failure) — the engine checkpoints from that
-callback.  Records are plain dicts (see :func:`make_record`).  Both also
-implement ``run_batched(trials, on_results)``, which hands the same
-records over in :data:`BATCH_RECORDS` chunks so the store can fsync once
-per chunk (the engine prefers it when the store supports
-``append_many``).
+finishes (success or final failure).  Records are plain dicts (see
+:func:`make_record`).  The engine calls ``run_batched(trials,
+on_results)``, which hands the same records over in
+:data:`BATCH_RECORDS` chunks and checkpoints each chunk with the store's
+``append_many``, one fsync per chunk.
 
 The pool owns real worker processes with one task pipe each, so the
 scheduler always knows which worker holds which trial: a trial that blows
@@ -39,9 +38,9 @@ OnResult = Callable[[Dict[str, Any]], None]
 OnResults = Callable[[List[Dict[str, Any]]], None]
 
 #: Records buffered per batched checkpoint handoff.  The engine flushes
-#: each chunk through ``store.append_many`` — one flush+fsync per chunk
-#: instead of per record, the durability granularity the columnar
-#: executor established in PR 6.  A kill loses at most one chunk.
+#: each chunk through ``store.append_many``: one flush+fsync per chunk
+#: instead of one per record.  A kill loses at most one chunk, which the
+#: next run re-executes on resume.
 BATCH_RECORDS = 32
 
 
@@ -71,8 +70,6 @@ class _RecordBatcher:
 
 class _BatchHandoffMixin:
     """Adds ``run_batched`` on top of an executor's ``run``."""
-
-    supports_batch_handoff = True
 
     def run_batched(
         self, trials: List[TrialSpec], on_results: OnResults
@@ -120,8 +117,6 @@ class SerialExecutor(_BatchHandoffMixin):
     """Run every trial in-process, with the same retry semantics as the
     pool.  Per-trial timeouts are not enforceable without a worker process
     to kill; serial mode records elapsed time but never aborts a trial."""
-
-    is_pool = False
 
     def __init__(self, retries: int = 0, backoff_base: float = 0.1,
                  backoff_cap: float = 2.0):
@@ -187,8 +182,6 @@ def _worker_main(task_conn, result_queue, worker_id: int) -> None:
 class WorkerPool(_BatchHandoffMixin):
     """A bounded pool of worker processes with per-trial timeout, bounded
     retry with backoff, and worker respawn after a kill."""
-
-    is_pool = True
 
     def __init__(
         self,
@@ -340,26 +333,9 @@ def make_executor(
     retries: int = 0,
     backoff_base: float = 0.1,
     backoff_cap: float = 2.0,
-    columnar: bool = False,
-    chunk_trials: int = 256,
 ):
     """Build the right executor for ``workers``; degrade to serial when
-    worker processes are unavailable on this platform.
-
-    ``columnar=True`` selects the in-process columnar executor (see
-    :mod:`repro.engine.columnar`); it is single-process, so it takes
-    precedence over ``workers`` (per-trial timeouts need a worker to
-    kill and do not apply).
-    """
-    if columnar:
-        from repro.engine.columnar import ColumnarExecutor
-
-        return ColumnarExecutor(
-            retries=retries,
-            backoff_base=backoff_base,
-            backoff_cap=backoff_cap,
-            chunk_trials=chunk_trials,
-        )
+    worker processes are unavailable on this platform."""
     if workers <= 0:
         return SerialExecutor(retries, backoff_base, backoff_cap)
     try:

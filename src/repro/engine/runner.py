@@ -11,8 +11,7 @@ Built-ins:
 * ``monte_carlo`` — one §4.3 Monte Carlo batch via
   :func:`repro.attack.probability.monte_carlo_success_rate`;
 * ``probability_grid`` — the §4.3 closed form (per-cycle, cumulative,
-  cycles-to-target) at one parameter point, draw-free; whole grids of
-  these run in one shot under the columnar engine;
+  cycles-to-target) at one parameter point, draw-free;
 * ``mitigation`` — one §5 configuration attacked and graded via
   :func:`repro.mitigations.evaluation.evaluate_mitigation`;
 * ``fault_campaign`` — one differential fuzz campaign under NAND fault
@@ -154,10 +153,12 @@ def _trial_probability_grid(trial: TrialSpec) -> Dict[str, Any]:
     probability, cumulative probability over ``cycles`` repetitions, and
     the cycle count needed to reach ``target``.
 
-    Deterministic and draw-free; computed through the same vectorized
-    helpers the columnar engine stacks whole grids into
-    (:mod:`repro.attack.probability`), so scalar and columnar records
-    agree bit-for-bit by construction.
+    Deterministic and draw-free.  It goes through the numpy ``grid_*``
+    helpers of :mod:`repro.attack.probability`, not the scalar
+    functions, because the committed records were computed with
+    ``np.power``: on 2 of the 80 points of
+    ``examples/specs/probability_grid.json``, Python's ``**`` gives a
+    ``cumulative`` one ulp (the last binary digit) away.
     """
     from repro.attack.probability import (
         grid_cumulative,

@@ -26,8 +26,8 @@ HEADER_KEY = "sweep_header"
 
 #: Record fields that legitimately differ between two equivalent runs:
 #: ``elapsed`` is wall-clock (differs even between two serial runs), and
-#: ``error`` tracebacks embed the executor's own stack frames (serial,
-#: pool worker, and columnar fallback frames all spell differently).
+#: ``error`` tracebacks embed the executor's own stack frames (serial and
+#: pool worker frames spell differently).
 NONDETERMINISTIC_FIELDS = ("elapsed", "error")
 
 
@@ -35,11 +35,14 @@ def canonical_record(record: Dict[str, Any]) -> str:
     """A record's canonical JSON, minus the fields two equivalent runs
     may legitimately disagree on (see ``NONDETERMINISTIC_FIELDS``).
 
-    Byte-equality claims (serial vs columnar vs pooled vs resumed) are
-    stated over this canonical form: every other field — status, params,
-    seed, the full result dict, attempt counts — and the record order in
-    the file must match exactly.  Note ``status`` stays: a trial that
-    fails under one executor must fail under all of them.
+    Byte-equality claims between two result files (two runs of one
+    spec, or a resumed run against an uninterrupted one) are stated over
+    this canonical form: every other field — status, params, seed, the
+    full result dict, attempt counts — and the record order in the file
+    must match exactly.  A pooled run writes records in completion order,
+    so it is compared with a serial one through the summary instead.
+    Note ``status`` stays: a trial that fails in one run must fail in
+    the other.
     """
     trimmed = {
         k: v for k, v in record.items() if k not in NONDETERMINISTIC_FIELDS
@@ -109,9 +112,6 @@ class MemoryStore:
             for record in self._records
             if record.get("status") == "ok"
         }
-
-    def append(self, record: Dict[str, Any]) -> None:
-        self._records.append(record)
 
     def append_many(self, records: List[Dict[str, Any]]) -> None:
         self._records.extend(records)
@@ -217,10 +217,10 @@ class ResultStore:
     def append_many(self, records: List[Dict[str, Any]]) -> None:
         """Append a batch with one flush+fsync for the lot.
 
-        Same durability *granularity* the columnar engine produces
-        results at: a kill loses at most the batch in flight, exactly as
-        per-record appends lose at most the trial in flight.  Bytes
-        written are identical to ``append`` called in a loop.
+        The engine checkpoints every sweep this way, one
+        :data:`~repro.engine.pool.BATCH_RECORDS` chunk at a time, so a
+        kill loses at most the chunk in flight.  Bytes written are
+        identical to ``append`` called in a loop.
         """
         if self._handle is None:
             raise ConfigError("store not opened")

@@ -315,27 +315,6 @@ class NvmeController:
             processed += 1
         return processed
 
-    def process_round_robin(
-        self, qpairs: Sequence[QueuePair], max_commands: Optional[int] = None
-    ) -> int:
-        """Drain several queue pairs fairly, one command per queue per
-        round (the arbitration real controllers apply across tenants)."""
-        processed = 0
-        while max_commands is None or processed < max_commands:
-            progressed = False
-            for qpair in qpairs:
-                if max_commands is not None and processed >= max_commands:
-                    break
-                command = qpair.next_command()
-                if command is None:
-                    continue
-                qpair.post(self.submit(command))
-                processed += 1
-                progressed = True
-            if not progressed:
-                break
-        return processed
-
     # -- convenience wrappers -------------------------------------------
 
     def read(self, nsid: int, lba: int) -> bytes:

@@ -103,17 +103,6 @@ class Histogram:
         # compares below no bound.
         self.counts[bisect_left(self.bounds, value) if value == value else -1] += 1
 
-    def observe_many(self, value: float, count: int) -> None:
-        """Record ``count`` identical observations in one call (batch paths
-        observe one representative latency per burst, not one per I/O)."""
-        if count < 0:
-            raise ValueError("observation count cannot be negative")
-        if count == 0:
-            return
-        self.total += count
-        self.sum += value * count
-        self.counts[bisect_left(self.bounds, value) if value == value else -1] += count
-
     @property
     def mean(self) -> float:
         return self.sum / self.total if self.total else 0.0

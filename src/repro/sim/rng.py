@@ -10,7 +10,6 @@ adding randomness to one component cannot perturb another.
 from __future__ import annotations
 
 import hashlib
-from typing import List, Sequence
 
 import numpy as np
 
@@ -61,125 +60,6 @@ class SeedPrefix:
             hasher.update(b"/")
             hasher.update(str(label).encode("utf-8"))
         return int.from_bytes(hasher.digest()[:8], "little")
-
-
-# -- stacked per-trial PCG64 streams ------------------------------------
-#
-# The columnar sweep engine runs N independent trials as one numpy
-# program.  Its byte-equality contract requires each trial to consume
-# *exactly* the ``PCG64`` stream the scalar path would build via
-# ``RngStream(seed, ...)`` — so the expensive part of standing up N
-# generators, the per-seed ``numpy.random.SeedSequence`` entropy pool
-# hash, is re-implemented here as a vectorized batch over all seeds at
-# once.  The port is pinned against numpy by tests (and verified at
-# runtime by ``stacked_pcg64``); numpy guarantees SeedSequence outputs
-# are stable across releases, so this cannot drift silently.
-
-_SS_XSHIFT = np.uint32(16)
-_SS_INIT_A = np.uint32(0x43B0D7E5)
-_SS_MULT_A = np.uint32(0x931E8875)
-_SS_INIT_B = np.uint32(0x8B51F9DD)
-_SS_MULT_B = np.uint32(0x58F38DED)
-_SS_MIX_L = np.uint32(0xCA01F9DD)
-_SS_MIX_R = np.uint32(0x4973F715)
-
-
-def seed_pool_states(seeds: Sequence[int]) -> np.ndarray:
-    """``SeedSequence(seed).generate_state(4, uint64)`` for many seeds at
-    once, vectorized.
-
-    Returns an ``(n, 4)`` uint64 array whose rows are bit-identical to
-    numpy's output for seeds in ``[0, 2**64)`` (the range
-    :func:`derive_seed` produces).
-    """
-    seeds_arr = np.asarray(list(seeds), dtype=np.uint64)
-    if seeds_arr.ndim != 1:
-        raise ValueError("seeds must be a flat sequence")
-    n = seeds_arr.shape[0]
-    # Entropy words, little-endian 32-bit.  numpy coerces a seed < 2**32
-    # to one word and pads the pool fill with literal zeros, which is
-    # exactly what the high word of a small seed contributes here.
-    words = np.zeros((4, n), dtype=np.uint32)
-    words[0] = (seeds_arr & np.uint64(0xFFFFFFFF)).astype(np.uint32)
-    words[1] = (seeds_arr >> np.uint64(32)).astype(np.uint32)
-
-    # The hash constant evolves independently of the data, so it stays a
-    # scalar while the values are vectorized.
-    with np.errstate(over="ignore"):
-        hash_const = _SS_INIT_A
-
-        def hashed(value: np.ndarray, hc: np.uint32):
-            value = value ^ hc
-            hc = np.uint32(hc * _SS_MULT_A)
-            value = value * hc
-            value ^= value >> _SS_XSHIFT
-            return value, hc
-
-        def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-            result = (x * _SS_MIX_L) - (y * _SS_MIX_R)
-            result ^= result >> _SS_XSHIFT
-            return result
-
-        pool = np.zeros((4, n), dtype=np.uint32)
-        for i in range(4):
-            pool[i], hash_const = hashed(words[i], hash_const)
-        for i_src in range(4):
-            for i_dst in range(4):
-                if i_src != i_dst:
-                    h, hash_const = hashed(pool[i_src], hash_const)
-                    pool[i_dst] = mix(pool[i_dst], h)
-
-        hash_const = _SS_INIT_B
-        out32 = np.zeros((8, n), dtype=np.uint32)
-        for i in range(8):
-            value = pool[i % 4] ^ hash_const
-            hash_const = np.uint32(hash_const * _SS_MULT_B)
-            value = value * hash_const
-            value ^= value >> _SS_XSHIFT
-            out32[i] = value
-
-    out = np.zeros((n, 4), dtype=np.uint64)
-    for i in range(4):
-        out[:, i] = out32[2 * i].astype(np.uint64) | (
-            out32[2 * i + 1].astype(np.uint64) << np.uint64(32)
-        )
-    return out
-
-
-class _PoolStateShim:
-    """A minimal ISeedSequence: hands a precomputed entropy-pool row to
-    ``PCG64`` so constructing a bit generator skips the per-seed hash."""
-
-    __slots__ = ("row",)
-
-    def __init__(self, row: np.ndarray):
-        self.row = row
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.row
-
-
-# PCG64 accepts any registered ISeedSequence implementation.
-np.random.bit_generator.ISeedSequence.register(_PoolStateShim)
-
-
-def stacked_pcg64(seeds: Sequence[int]) -> List[np.random.PCG64]:
-    """One ``PCG64`` per seed, each bit-identical to ``PCG64(seed)``,
-    built from one vectorized pool-state pass instead of n scalar hashes.
-
-    The first generator is verified against a directly seeded ``PCG64``;
-    if a future numpy changed its seeding internals the whole batch
-    falls back to direct construction rather than silently diverging.
-    """
-    seeds = [int(s) for s in seeds]
-    if not seeds:
-        return []
-    rows = seed_pool_states(seeds)
-    first = np.random.PCG64(_PoolStateShim(rows[0]))
-    if first.state["state"] != np.random.PCG64(seeds[0]).state["state"]:
-        return [np.random.PCG64(seed) for seed in seeds]
-    rest = [np.random.PCG64(_PoolStateShim(rows[i])) for i in range(1, len(seeds))]
-    return [first] + rest
 
 
 class RngStream:

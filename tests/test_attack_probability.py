@@ -165,7 +165,11 @@ class TestCyclesToReachClosedForm:
 
 class TestGridHelpers:
     """Vectorized closed-form helpers agree elementwise with the scalar
-    functions (the columnar engine's byte-equality relies on this)."""
+    functions on these inputs.  They are not interchangeable everywhere:
+    on 2 of the 80 points of ``examples/specs/probability_grid.json``,
+    ``np.power`` and Python's ``**`` differ in the last bit of
+    ``cumulative``, which is why the ``probability_grid`` kind keeps the
+    helpers."""
 
     def test_grid_single_cycle_matches_scalar(self):
         import numpy as np

@@ -110,17 +110,21 @@ class TestSweepCommand:
         summary = json.loads(summary_path.read_text())
         assert summary["name"] == "cli-sweep"
 
-    def test_columnar_matches_serial_and_diff_agrees(self, tmp_path, capsys):
+    def test_pooled_matches_serial_and_diff_agrees(self, tmp_path, capsys):
+        """The pooled summary equals the serial one.  ``sweep-diff`` then
+        compares two serial stores: it is order-sensitive, and the pool
+        writes records in completion order."""
         spec = write_spec(tmp_path)
-        path_serial = str(tmp_path / "serial.jsonl")
-        path_columnar = str(tmp_path / "columnar.jsonl")
-        assert main(["sweep", spec, "--json", "--out", path_serial]) == 0
+        path_a = str(tmp_path / "serial-a.jsonl")
+        path_b = str(tmp_path / "serial-b.jsonl")
+        assert main(["sweep", spec, "--json", "--out", path_a]) == 0
         serial = capsys.readouterr().out
-        assert main(["sweep", spec, "--columnar", "--check", "--json",
-                     "--out", path_columnar]) == 0
-        columnar = capsys.readouterr().out
-        assert serial == columnar
-        assert main(["sweep-diff", path_serial, path_columnar]) == 0
+        assert main(["sweep", spec, "--workers", "2", "--json",
+                     "--out", str(tmp_path / "pooled.jsonl")]) == 0
+        assert capsys.readouterr().out == serial
+        assert main(["sweep", spec, "--out", path_b]) == 0
+        capsys.readouterr()
+        assert main(["sweep-diff", path_a, path_b]) == 0
         assert "identical" in capsys.readouterr().out
 
     def test_sweep_diff_exit_code_on_mismatch(self, tmp_path, capsys):

@@ -452,10 +452,3 @@ class TestObservability:
             assert coords.bank == flip.bank
             assert coords.row == flip.row
             assert coords.column == flip.byte_offset
-
-    def test_flips_since(self):
-        dram = make_module()
-        fill_row(dram, 0, 9, 0x00)
-        dram.hammer([(0, 8), (0, 10)], total_accesses=20_000, access_rate=10_000)
-        mark = len(dram.flips)
-        assert dram.flips_since(mark) == []

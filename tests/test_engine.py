@@ -14,8 +14,10 @@ from repro.attack.probability import (
 )
 from repro.engine import (
     EngineConfig,
+    MemoryStore,
     SweepEngine,
     SweepSpec,
+    diff_result_files,
     run_sweep,
 )
 from repro.engine.pool import SerialExecutor, WorkerPool, backoff_delay
@@ -151,6 +153,23 @@ class TestCheckpointResume:
         assert resumed.skipped == 3
         assert resumed.executed == 3
         assert resumed.summary_json() == full.summary_json()
+
+    def test_resumed_store_matches_uninterrupted_store(self, tmp_path):
+        """A run resumed from a partial checkpoint leaves the same result
+        file, record for record and in order, as one never interrupted."""
+        spec = small_spec()
+        reference_path = str(tmp_path / "reference.jsonl")
+        run_sweep(spec, store_path=reference_path)
+        with open(reference_path, "r", encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
+        partial_path = str(tmp_path / "partial.jsonl")
+        keep = 1 + 2  # header + two records
+        with open(partial_path, "w", encoding="utf-8") as handle:
+            handle.write("\n".join(lines[:keep]) + "\n")
+        report = run_sweep(spec, store_path=partial_path)
+        assert report.skipped == 2
+        assert report.executed == len(lines) - keep
+        assert diff_result_files(reference_path, partial_path) == []
 
     def test_completed_sweep_resumes_without_rerunning(self, tmp_path):
         spec = small_spec()
@@ -422,27 +441,49 @@ class TestBatchedHandoff:
         with open(looped, "rb") as a, open(chunked, "rb") as b:
             assert a.read() == b.read()
 
-    def test_executors_advertise_batch_handoff(self):
-        assert SerialExecutor.supports_batch_handoff
-        assert WorkerPool.supports_batch_handoff
+    def test_memory_store_append_many(self):
+        store = MemoryStore()
+        store.append_many([{"trial_id": "a", "status": "ok"}])
+        assert len(store.records()) == 1
 
-    def test_engine_batched_path_matches_per_record_path(
-        self, tmp_path, monkeypatch
-    ):
-        """A sweep checkpointed through ``run_batched``/``append_many``
-        produces the same result file as one forced onto the per-record
-        ``run``/``append`` path."""
-        from repro.engine.store import diff_result_files
 
-        spec = small_spec()
-        path_batched = str(tmp_path / "batched.jsonl")
-        path_single = str(tmp_path / "single.jsonl")
-        run_sweep(spec, store_path=path_batched, workers=0)
-        monkeypatch.setattr(
-            SerialExecutor, "supports_batch_handoff", False
+class TestProbabilityGridKind:
+    @staticmethod
+    def _run(base):
+        spec = {
+            "name": "g", "kind": "probability_grid", "seed": 1, "repeats": 1,
+            "base": base,
+        }
+        return run_sweep(SweepSpec.from_dict(spec))
+
+    def test_result_fields(self):
+        result = self._run({"cycles": 10, "target": 0.5}).records[0]["result"]
+        assert set(result) == {
+            "single_cycle", "cumulative", "cycles", "cycles_to_target",
+            "target",
+        }
+        # Paper defaults: ~7% per cycle, >50% within 10 cycles, 10 cycles
+        # to pass one-half.
+        assert result["single_cycle"] == pytest.approx(0.0703, abs=0.002)
+        assert result["cumulative"] > 0.5
+        assert result["cycles_to_target"] == 10
+
+    def test_matches_scalar_functions(self):
+        from repro.attack.probability import (
+            cumulative_success_probability,
+            cycles_to_reach,
+            single_cycle_success_probability,
         )
-        run_sweep(spec, store_path=path_single, workers=0)
-        assert diff_result_files(path_batched, path_single) == []
+
+        base = {"cycles": 7, "target": 0.9, "physical_blocks": 262_144}
+        result = self._run(base).records[0]["result"]
+        p = single_cycle_success_probability(paper_example_parameters())
+        assert result["single_cycle"] == p
+        assert result["cumulative"] == cumulative_success_probability(p, 7)
+        assert result["cycles_to_target"] == cycles_to_reach(p, 0.9)
+
+    def test_negative_cycles_fail(self):
+        assert not self._run({"cycles": -1}).ok
 
 
 class TestPayloadTrialKind:

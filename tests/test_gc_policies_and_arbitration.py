@@ -1,4 +1,4 @@
-"""Tests for GC policy variants, queue arbitration, and size parsing."""
+"""Tests for GC policy variants and size parsing."""
 
 import pytest
 
@@ -12,11 +12,8 @@ from repro.dram import (
     VulnerabilityModel,
 )
 from repro.flash import FlashArray, FlashGeometry
-from repro.nvme import NvmeCommand, Opcode, QueuePair
 from repro.sim import SimClock
 from repro.units import GIB, KIB, MIB, parse_size
-
-from tests.conftest import build_stack
 
 GRANITE = GenerationProfile(name="granite", year=2021, ddr_type="T", min_rate_kps=1e9)
 
@@ -90,44 +87,6 @@ class TestCostBenefitGc:
         ftl.write(1, b"y" * 512)
         assert ftl.write_sequence == 2
         assert ftl.block_mtime[0] == 2
-
-
-class TestRoundRobinArbitration:
-    def make_controller(self):
-        controller, _, _ = build_stack(num_lbas=192)
-        controller.create_namespace(1, 0, 96)
-        controller.create_namespace(2, 96, 96)
-        return controller
-
-    def test_fair_interleaving(self):
-        controller = self.make_controller()
-        q1, q2 = QueuePair(qid=1), QueuePair(qid=2)
-        for lba in range(4):
-            q1.submit(NvmeCommand(Opcode.READ, nsid=1, lba=lba))
-            q2.submit(NvmeCommand(Opcode.READ, nsid=2, lba=lba))
-        processed = controller.process_round_robin([q1, q2])
-        assert processed == 8
-        assert len(q1.poll()) == 4
-        assert len(q2.poll()) == 4
-
-    def test_budget_respected(self):
-        controller = self.make_controller()
-        q1, q2 = QueuePair(qid=1), QueuePair(qid=2)
-        for lba in range(4):
-            q1.submit(NvmeCommand(Opcode.READ, nsid=1, lba=lba))
-            q2.submit(NvmeCommand(Opcode.READ, nsid=2, lba=lba))
-        assert controller.process_round_robin([q1, q2], max_commands=3) == 3
-        assert q1.outstanding + q2.outstanding == 5
-
-    def test_skips_empty_queues(self):
-        controller = self.make_controller()
-        q1, q2 = QueuePair(qid=1), QueuePair(qid=2)
-        q2.submit(NvmeCommand(Opcode.READ, nsid=2, lba=0))
-        assert controller.process_round_robin([q1, q2]) == 1
-
-    def test_no_queues_no_work(self):
-        controller = self.make_controller()
-        assert controller.process_round_robin([]) == 0
 
 
 class TestParseSize:

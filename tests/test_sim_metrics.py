@@ -268,7 +268,7 @@ class TestHistogramProperties:
     @settings(max_examples=200, deadline=None)
     def test_bucket_matches_the_scan(self, data, bounds):
         """Any float, ±inf and NaN included, and values equal to a bound
-        land where the linear scan puts them, one at a time or in bulk."""
+        land where the linear scan puts them, once or repeated."""
         values = data.draw(
             st.lists(st.one_of(st.floats(), st.sampled_from(bounds)), max_size=30)
         )
@@ -277,7 +277,8 @@ class TestHistogramProperties:
         for value in values:
             expected[_scan_bucket(bounds, value)] += 1
             single.observe(value)
-            bulk.observe_many(value, 3)
+            for _ in range(3):
+                bulk.observe(value)
         assert single.counts == expected
         assert bulk.counts == [3 * count for count in expected]
         assert single.total == len(values)
@@ -448,15 +449,6 @@ class TestPercentile:
         hist.observe(0.5)
         assert hist.percentiles() == {"p50": 1.0, "p95": 1.0, "p99": 1.0}
 
-    def test_observe_many_counts_every_observation(self):
-        loop = Histogram("a", [1.0, 2.0, 4.0])
-        batch = Histogram("b", [1.0, 2.0, 4.0])
-        for _ in range(7):
-            loop.observe(1.5)
-        batch.observe_many(1.5, 7)
-        for q in (0.0, 0.5, 0.9, 1.0):
-            assert loop.percentile(q) == batch.percentile(q)
-
     @given(
         values=st.lists(
             st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
@@ -504,7 +496,8 @@ class TestPercentile:
         hist = Histogram("h", bounds)
         raw = []
         for bound, count in zip(bounds, counts):
-            hist.observe_many(bound, count)
+            for _ in range(count):
+                hist.observe(bound)
             raw.extend([bound] * count)
         if not raw:
             assert hist.percentile(q) == 0.0

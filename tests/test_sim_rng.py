@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import RngStream, derive_seed
+from repro.sim.rng import SeedPrefix
 
 
 class TestDeriveSeed:
@@ -18,6 +21,31 @@ class TestDeriveSeed:
 
     def test_label_order_matters(self):
         assert derive_seed(1, "a", "b") != derive_seed(1, "b", "a")
+
+
+class TestSeedPrefix:
+    def test_matches_derive_seed(self):
+        prefix = SeedPrefix(7, "sweep", "name")
+        for point in range(5):
+            for repeat in range(3):
+                assert prefix.derive(point, repeat) == derive_seed(
+                    7, "sweep", "name", point, repeat
+                )
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**63 - 1),
+        labels=st.lists(
+            st.one_of(st.integers(-5, 5), st.text(max_size=8)), max_size=4
+        ),
+        tail=st.lists(
+            st.one_of(st.integers(-5, 5), st.text(max_size=8)), max_size=3
+        ),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_prefix_split_is_invisible(self, seed, labels, tail):
+        assert SeedPrefix(seed, *labels).derive(*tail) == derive_seed(
+            seed, *labels, *tail
+        )
 
 
 class TestRngStream:
